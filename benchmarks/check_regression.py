@@ -13,9 +13,9 @@ baseline is a trimmed snapshot of a known-good run; refresh it with::
 reported a positive ``cache_hit_rate`` in its ``extra_info`` — the
 acceptance signal that the resynthesis cache is live on the hot path.
 ``--require-remote-hits`` does the same for ``cache_remote_hits``, the
-signal that *cross-process* cache sharing (the ``shm``/``server`` backends)
-is live on the processes portfolio — and, in the ``distrib-smoke`` job,
-that *cross-host* sharing through ``TcpCacheBackend`` is live.
+signal that *cross-process* cache sharing (the ``server:`` spec) is live on
+the processes portfolio — and, in the ``distrib-smoke`` job, that
+*cross-host* sharing through ``TcpCacheBackend`` is live.
 ``--require-zero-dropped`` inverts the direction: a healthy-fleet job must
 report ``cache_dropped_requests`` and the value must be 0 everywhere — the
 counter a degraded tcp backend increments when it silently sheds traffic
@@ -26,6 +26,14 @@ in the distrib-smoke cluster.  ``--require-zero-lost`` asserts that
 ``cases_lost`` is reported and 0 everywhere: every planned run completed
 exactly once, none forfeited to a host loss.
 
+The smoke benches' own wall-clock comparisons are gated here too, always:
+any benchmark whose ``extra_info`` records both sides of a
+:data:`SMOKE_COMPARISONS` pair must satisfy it (cached beats uncached and
+memoized beats plain iterations/s, the shared-cache portfolio stays within
+1.35x of private caches' wall-clock, batched resynthesis beats the scalar
+loop).  They live in this gate rather than in the test suite so a test's
+pass never depends on machine load.
+
 Benchmarks with no baseline entry (and baseline rows without a ``mean``)
 are warned about and skipped, never a hard failure: new benches — e.g. the
 distributed suite's — can land before their baseline entry exists.
@@ -35,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -44,6 +53,17 @@ DEFAULT_THRESHOLD = 0.25
 #: to the relative threshold, before the gate fails — sub-100ms benchmarks
 #: would otherwise false-fail on ordinary timer/runner noise
 DEFAULT_ABS_SLACK = 0.1
+
+#: smoke-bench comparisons over ``extra_info`` keys, checked whenever a
+#: benchmark records both: ``(left, relation, factor, right)`` holds when
+#: ``left <relation> factor * right``
+SMOKE_COMPARISONS = (
+    ("iterations_per_sec_cached", ">", 1.0, "iterations_per_sec_uncached"),
+    ("iterations_per_sec_memoized", ">", 1.0, "iterations_per_sec_plain"),
+    ("wall_shared", "<=", 1.35, "wall_private"),
+    ("wall_batched", "<", 1.0, "wall_scalar"),
+)
+_RELATIONS = {">": operator.gt, "<": operator.lt, "<=": operator.le}
 
 
 def load_bench_means(path: Path) -> "tuple[dict[str, float], dict[str, dict]]":
@@ -139,6 +159,18 @@ def check(
             )
     for name in sorted(set(baseline) - set(means)):
         print(f"MISSING  {name}: in baseline but not in this run (not gated)")
+
+    for name, info in sorted(extras.items()):
+        for left, relation, factor, right in SMOKE_COMPARISONS:
+            if left not in info or right not in info:
+                continue
+            bound = factor * info[right]
+            label = f"{left} {relation} {factor:g} x {right}"
+            held = _RELATIONS[relation](info[left], bound)
+            status = "OK" if held else "SLOWER"
+            print(f"{status:10}{name}: {label} ({info[left]:.4g} vs {bound:.4g})")
+            if not held:
+                failures.append(f"{name}: expected {label}, got {info[left]:.4g} vs {bound:.4g}")
 
     if require_cache_hits:
         hit_rates = {

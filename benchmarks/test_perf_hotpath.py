@@ -1,20 +1,24 @@
 """Hot-path performance benchmarks: resynthesis cache and rewrite memo.
 
-Three measured comparisons back the performance layer's claims, and their
-numbers are exported through ``--benchmark-json`` ``extra_info`` so the CI
-perf job's ``BENCH_*.json`` artifact records them per run:
+Measured comparisons back the performance layer's claims.  Their numbers
+are exported through ``--benchmark-json`` ``extra_info`` so the CI perf
+job's ``BENCH_*.json`` artifact records them per run, and the wall-clock
+comparisons are gated there, by ``benchmarks/check_regression.py``: a
+timing assertion in the test suite would make its pass depend on machine
+load.  The tests themselves assert only what timing cannot change.
 
 * **Resynthesis cache** — the same seeded Clifford+T search run with and
   without a :class:`repro.perf.ResynthesisCache`; the cached run must report
-  a non-zero hit rate and higher iterations/sec (block unitaries recur, so
-  synthesis calls collapse into lookups).
+  a non-zero hit rate (the perf gate: higher iterations/sec, since block
+  unitaries recur and synthesis calls collapse into lookups).
 * **Rewrite no-fire memo** — the same seeded rewrite-only search with and
   without ``GuoqConfig.memoize_rewrites``; the memoized run must reach the
-  bit-identical best cost while skipping the no-op full passes.
+  bit-identical best cost while skipping the no-op full passes (the perf
+  gate: higher iterations/sec).
 * **Cross-process shared cache** — a 4-worker ``processes`` portfolio over a
   repeated-block workload, with private per-worker caches versus one shared
-  ``shm`` store; the shared run must report cross-worker (remote) hits and
-  stay within noise of the private-copy wall-clock.
+  ``server:`` store; the shared run must report cross-worker (remote) hits
+  (the perf gate: within noise of the private-copy wall-clock).
 * **Warm restart** — a tcp cache server with an on-disk corpus is warmed by
   one run, killed, and restarted from its store; the second run against the
   restarted server must reuse the persisted entries (remote hits, zero
@@ -22,7 +26,8 @@ perf job's ``BENCH_*.json`` artifact records them per run:
 * **Batched resynthesis** — one batch of distinct 2-qubit motif blocks
   through :class:`repro.synthesis.BatchResynthesizer` (shared-frontier BFS,
   vectorized distance screens) versus the scalar reference loop; the
-  batched pass must return bit-identical outcomes in less wall-clock.
+  batched pass must return bit-identical outcomes (the perf gate: in less
+  wall-clock).
 """
 
 import time
@@ -56,9 +61,6 @@ MEMO_SEED = 0
 SHARED_ITERATIONS = 60
 SHARED_SEED = 17
 SHARED_WORKERS = 4
-#: relative slack on the "no worse than private copies" wall-clock assertion:
-#: the shared run pays IPC per miss, which must stay inside runner noise
-SHARED_WALL_SLACK = 1.35
 
 
 def _clifford_t_transformations(cache: "ResynthesisCache | None"):
@@ -89,7 +91,7 @@ def _timed_run(transformations, cost, config, circuit):
 @pytest.mark.smoke
 @pytest.mark.benchmark(group="perf-hotpath")
 def test_resynthesis_cache_speeds_up_search(benchmark):
-    """Cached resynthesis must win wall-clock with a non-zero hit rate."""
+    """Cached resynthesis must hit; the perf gate compares throughput."""
     circuit = random_clifford_t(4, 60, seed=2)
     config = GuoqConfig(
         epsilon_budget=1e-5,
@@ -122,13 +124,10 @@ def test_resynthesis_cache_speeds_up_search(benchmark):
     # class; in practice the trajectories coincide until synthesis outcomes
     # diverge, so only the weaker quality bound is asserted.
     assert cached.best_cost <= uncached.initial_cost
-    # The measured win: skipping synthesis calls must raise throughput.
+    # The measured win (gated by check_regression.py): skipping synthesis
+    # calls must raise throughput.
     cached_ips = cached.iterations / cached_wall
     uncached_ips = uncached.iterations / uncached_wall
-    assert cached_ips > uncached_ips, (
-        f"cache must improve iterations/sec (cached {cached_ips:.1f} "
-        f"vs uncached {uncached_ips:.1f})"
-    )
 
     benchmark.extra_info["cache_hit_rate"] = perf.cache_hit_rate
     benchmark.extra_info["cache_hits"] = perf.cache_hits
@@ -165,7 +164,7 @@ def test_resynthesis_cache_speeds_up_search(benchmark):
 @pytest.mark.smoke
 @pytest.mark.benchmark(group="perf-hotpath")
 def test_rewrite_memo_speeds_up_search(benchmark):
-    """The no-fire memo must win wall-clock while staying bit-identical."""
+    """The no-fire memo must stay bit-identical; the perf gate compares throughput."""
     circuit = decompose_to_gate_set(qft(7), IBMQ20)
     transformations = rewrite_transformations(rules_for_gate_set(IBMQ20))
     base = GuoqConfig(time_limit=1e9, max_iterations=MEMO_ITERATIONS, seed=MEMO_SEED)
@@ -188,9 +187,6 @@ def test_rewrite_memo_speeds_up_search(benchmark):
 
     memo_ips = memoized.iterations / memo_wall
     plain_ips = plain.iterations / plain_wall
-    assert memo_ips > plain_ips, (
-        f"memo must improve iterations/sec (memoized {memo_ips:.0f} vs plain {plain_ips:.0f})"
-    )
 
     benchmark.extra_info["iterations_per_sec_memoized"] = memo_ips
     benchmark.extra_info["iterations_per_sec_plain"] = plain_ips
@@ -251,7 +247,7 @@ def _shared_cache_portfolio(share):
 @pytest.mark.smoke
 @pytest.mark.benchmark(group="perf-hotpath")
 def test_shared_cache_cross_process_portfolio(benchmark):
-    """The shm-shared portfolio must show cross-worker hits at no wall cost."""
+    """The shared portfolio must show cross-worker hits; the perf gate compares wall."""
     circuit = repeated_blocks()
 
     private_started = time.monotonic()
@@ -260,22 +256,16 @@ def test_shared_cache_cross_process_portfolio(benchmark):
 
     def _shared_run():
         started = time.monotonic()
-        result = _shared_cache_portfolio("shm").optimize(circuit)
+        result = _shared_cache_portfolio("server:").optimize(circuit)
         return result, time.monotonic() - started
 
     shared, shared_wall = benchmark.pedantic(_shared_run, rounds=1, iterations=1)
 
-    assert shared.shared_cache_backend == "shm"
+    assert shared.shared_cache_backend == "tcp"
     perf = shared.perf
     assert perf is not None
     assert perf.cache_remote_hits > 0, (
         "process workers must reuse synthesis results their siblings inserted"
-    )
-    # Sharing may not cost wall-clock: the IPC per miss has to be repaid by
-    # synthesis calls that become lookups (slack absorbs runner noise).
-    assert shared_wall <= private_wall * SHARED_WALL_SLACK, (
-        f"shared-cache portfolio regressed wall-clock: {shared_wall:.2f}s vs "
-        f"{private_wall:.2f}s private"
     )
     # Sharing must never degrade the merged result below the private run's
     # starting point (both searches remain sound anytime optimizers).
@@ -291,13 +281,13 @@ def test_shared_cache_cross_process_portfolio(benchmark):
 
     private_hits = private.perf.cache_hits if private.perf is not None else 0
     print_table(
-        "Shared resynthesis cache — private copies vs shm store "
+        "Shared resynthesis cache — private copies vs server: store "
         f"({SHARED_WORKERS}-worker processes portfolio, repeated-block workload)",
         ["variant", "wall (s)", "hits", "remote hits", "best cost"],
         [
             ["private", f"{private_wall:.2f}", private_hits, "-", private.best_cost],
             [
-                "shm-shared",
+                "server-shared",
                 f"{shared_wall:.2f}",
                 perf.cache_hits,
                 perf.cache_remote_hits,
@@ -333,7 +323,7 @@ def _motif_blocks() -> "list[Circuit]":
 @pytest.mark.smoke
 @pytest.mark.benchmark(group="perf-hotpath")
 def test_batched_resynthesis(benchmark):
-    """The batched engine must beat the scalar loop, bit-identically."""
+    """The batched engine must match the scalar loop; the perf gate compares wall."""
 
     def _resynthesizer():
         return CliffordTResynthesizer(
@@ -366,12 +356,8 @@ def test_batched_resynthesis(benchmark):
 
     results, batched_wall = benchmark.pedantic(_batched_run, rounds=1, iterations=1)
 
-    # Bit-identity first — a fast wrong answer is worthless.
+    # Bit-identity — a fast wrong answer is worthless.
     assert results == expected
-    assert batched_wall < scalar_wall, (
-        f"batched resynthesis regressed wall-clock: {batched_wall:.3f}s "
-        f"vs {scalar_wall:.3f}s scalar for {len(blocks)} blocks"
-    )
 
     benchmark.extra_info["batch_size"] = len(blocks)
     benchmark.extra_info["wall_scalar"] = scalar_wall

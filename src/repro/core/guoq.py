@@ -78,8 +78,8 @@ class GuoqConfig:
     #: are bit-identical with this on or off; see ``docs/batching.md``)
     batch_resynthesis: bool = True
     #: additionally ship the miss batch to a cache backend that supports
-    #: server-side batch synthesis (``server``/``tcp``), so one vectorized
-    #: pass on the server fills entries many workers will hit.  Off by
+    #: server-side batch synthesis (``tcp``, including ``server:``), so one
+    #: vectorized pass on the server fills entries many workers will hit.  Off by
     #: default: remotely synthesized entries convert later misses into hits,
     #: which changes the local rng trajectory (correct, but not bit-identical
     #: to an offload-free run).
@@ -297,9 +297,22 @@ class GuoqRun:
         finally:
             self._elapsed = base + (time.monotonic() - resume)
             self._last_step_iterations = self._iterations - quantum_start
+        # Quantum boundary: publish this step's buffered cache puts, so a
+        # sibling sharing the store (another worker, a resident serve job)
+        # sees them at its next step instead of at run close.  Local
+        # backends write through, so this is a no-op for them.
+        for _, cache in self._attached_caches():
+            cache.flush()
         if config.batch_resynthesis:
             self._dispatch_miss_batch()
         return not self._done
+
+    def _attached_caches(self):
+        """``(transformation, cache)`` for every transformation with a cache."""
+        for transformation in self._optimizer.transformations:
+            cache = getattr(getattr(transformation, "resynthesizer", None), "cache", None)
+            if cache is not None:
+                yield transformation, cache
 
     def _dispatch_miss_batch(self) -> None:
         """Turn this quantum's cache misses into one batched dispatch.
@@ -314,10 +327,7 @@ class GuoqRun:
         miss or perturb the search trajectory.
         """
         config = self._config
-        for transformation in self._optimizer.transformations:
-            cache = getattr(getattr(transformation, "resynthesizer", None), "cache", None)
-            if cache is None:
-                continue
+        for transformation, cache in self._attached_caches():
             missed = cache.drain_missed_items()
             if not missed:
                 continue

@@ -57,13 +57,12 @@ def default_transformations(
     fresh private cache of ``cache_size`` entries, ``False``/``None``
     disables caching, an existing cache instance is attached as-is (e.g. a
     ``shared=True`` cache reused across portfolio workers), and a backend
-    spec string (``"local:"``/``"shm:"``/``"server:"``/``"tcp://host:port"``,
-    see :func:`repro.perf.parse_backend_spec`; bare legacy kind names still
-    work but warn) builds a fresh *shared* cache on that backend.  With the
-    spec form the caller still owns the lifecycle: the built cache hangs off
-    the resynthesis transformation
-    (``transformations[-1].resynthesizer.cache``) and ``"shm:"``/``"server:"``
-    backends hold a live process until ``cache.close()`` — prefer passing a
+    spec string (``"local:"``/``"server:"``/``"tcp://host:port"``, see
+    :func:`repro.perf.parse_backend_spec`) builds a fresh *shared* cache on
+    that backend.  With the spec form the caller still owns the lifecycle:
+    the built cache hangs off the resynthesis transformation
+    (``transformations[-1].resynthesizer.cache``) and a ``"server:"``
+    backend holds a live process until ``cache.close()`` — prefer passing a
     cache instance you construct (or the portfolio's
     ``share_resynthesis_cache``, which closes what it opens) when building
     transformation sets in a loop.

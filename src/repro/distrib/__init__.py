@@ -7,7 +7,7 @@ cooperating parts, each runnable standalone (see ``docs/distributed.md``):
 * the **coordinator** (:mod:`repro.distrib.coordinator`) deterministically
   shards a benchmark suite — or replicated portfolio groups for one
   circuit — into a :class:`~repro.distrib.plan.ShardPlan`, streams case
-  batches to registered host agents over ``multiprocessing.connection``,
+  batches to registered host agents over :mod:`repro.rpc`,
   steals the tail of a slow host's batch for idle ones, re-queues only the
   *unfinished* runs lost to host failures, optionally relays the global
   best incumbent per case back to working replicas

@@ -1,17 +1,16 @@
 """Standalone TCP resynthesis-cache server for multi-host clusters.
 
 ``python -m repro.distrib.cache_server --port 8799`` serves one
-:class:`~repro.perf.shared_cache._BucketStore` over an ``AF_INET``
-``multiprocessing.connection.Listener``, speaking the same length-prefixed
-pickle ``(op, payload)`` protocol as the driver-owned ``server`` backend —
-which is exactly what :class:`~repro.perf.shared_cache.TcpCacheBackend`
-clients dial.  Run one (or several — clients shard keys across them with
-consistent hashing) near your host agents, then point every portfolio at
+:class:`~repro.perf.shared_cache._BucketStore` over :mod:`repro.rpc` on an
+``AF_INET`` socket — the server a
+:class:`~repro.perf.shared_cache.TcpCacheBackend` client dials.  Run one (or
+several — clients shard keys across them with consistent hashing) near your
+host agents, then point every portfolio at
 ``share_resynthesis_cache="tcp://host:port[,host:port...]"``.
 
-Unlike the ``server`` backend's child process, a network cache server's
-lifetime deliberately spans many runs and many hosts: a warm store keeps
-serving synthesis results to tomorrow's runs.  Stop it by killing the
+Unlike the server a ``server:`` spec spawns for one run, a network cache
+server's lifetime deliberately spans many runs and many hosts: a warm store
+keeps serving synthesis results to tomorrow's runs.  Stop it by killing the
 process (or sending the protocol ``shutdown`` op).
 
 :func:`start_tcp_cache_server` is the in-process spawn helper tests and
@@ -24,9 +23,9 @@ import argparse
 
 from repro.perf.persist import DEFAULT_FLUSH_INTERVAL
 from repro.perf.shared_cache import (
-    SharedCacheUnavailable,
     _serve_cache,
     parse_backend_spec,
+    spawn_cache_server,
     tcp_cache_authkey,
 )
 
@@ -53,33 +52,16 @@ def start_tcp_cache_server(
     prefix with a note, never a crash) and snapshots it on shutdown or
     SIGTERM; ``flush_interval`` bounds how many puts a SIGKILL can lose.
     """
-    import multiprocessing
-
-    key = bytes(authkey) if authkey is not None else tcp_cache_authkey()
-    context = multiprocessing.get_context()
-    bootstrap_recv, bootstrap_send = context.Pipe(duplex=False)
-    process = context.Process(
-        target=_serve_cache,
-        args=(
-            bootstrap_send,
-            key,
-            maxsize,
-            match_epsilon,
-            (host, port),
-            store_path,
-            flush_interval,
-        ),
-        daemon=True,
-        name="repro-tcp-cache-server",
+    return spawn_cache_server(
+        host,
+        port,
+        authkey if authkey is not None else tcp_cache_authkey(),
+        maxsize,
+        match_epsilon,
+        store_path=store_path,
+        flush_interval=flush_interval,
+        start_timeout=start_timeout,
     )
-    process.start()
-    bootstrap_send.close()
-    if not bootstrap_recv.poll(start_timeout):
-        process.terminate()
-        raise SharedCacheUnavailable("tcp cache server did not report an address in time")
-    address = bootstrap_recv.recv()
-    bootstrap_recv.close()
-    return process, (str(address[0]), int(address[1]))
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -102,21 +84,11 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument(
         "--authkey", default=None, help="connection authkey (default: $REPRO_CACHE_AUTHKEY)"
     )
-    # Legacy spellings of --cache 'local:?store=...&flush_every=...'; kept
-    # working (lowest precedence) but hidden from --help.
-    parser.add_argument("--store", default=None, metavar="PATH", help=argparse.SUPPRESS)
-    parser.add_argument(
-        "--flush-every",
-        type=int,
-        default=DEFAULT_FLUSH_INTERVAL,
-        metavar="PUTS",
-        help=argparse.SUPPRESS,
-    )
     args = parser.parse_args(argv)
     maxsize = args.maxsize
     match_epsilon = args.match_epsilon
-    store_path = args.store
-    flush_interval = args.flush_every
+    store_path = None
+    flush_interval = DEFAULT_FLUSH_INTERVAL
     if args.cache:
         try:
             spec = parse_backend_spec(args.cache)
@@ -129,8 +101,9 @@ def main(argv: "list[str] | None" = None) -> int:
             )
         maxsize = spec.maxsize if spec.maxsize is not None else maxsize
         match_epsilon = spec.match_epsilon if spec.match_epsilon is not None else match_epsilon
-        store_path = spec.store_path if spec.store_path is not None else store_path
-        flush_interval = spec.flush_interval if spec.flush_interval is not None else flush_interval
+        store_path = spec.store_path
+        if spec.flush_interval is not None:
+            flush_interval = spec.flush_interval
     key = args.authkey.encode() if args.authkey else tcp_cache_authkey()
     store_note = f"; store {store_path}" if store_path else ""
     print(

@@ -1,8 +1,8 @@
 """Suite-sharding coordinator: one merge point for many host agents.
 
-``python -m repro.distrib.coordinator`` binds an ``AF_INET``
-``multiprocessing.connection.Listener`` (the same length-prefixed pickle
-framing the cache server speaks), deterministically shards a benchmark
+``python -m repro.distrib.coordinator`` listens on an ``AF_INET``
+:mod:`repro.rpc` server (the transport the cache and job servers speak),
+deterministically shards a benchmark
 suite into a :class:`~repro.distrib.plan.ShardPlan`, and serves *case
 batches* to whichever host agents (:mod:`repro.distrib.worker`) register —
 a pull model, so hosts of different speeds self-balance and the coordinator
@@ -50,12 +50,11 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import socket
 import threading
 import time
 from collections import deque
-from multiprocessing.connection import Listener
 
+from repro import rpc
 from repro.distrib.merge import (
     DistributedSuiteResult,
     merge_case_results,
@@ -70,7 +69,6 @@ from repro.distrib.plan import (
 )
 from repro.distrib.worker import distrib_authkey
 from repro.perf.report import PerfReport
-from repro.perf.shared_cache import drain_connection_pool
 
 
 def _run_label(key: "tuple[str, int]") -> str:
@@ -387,93 +385,68 @@ class _CoordinatorState:
             )
 
 
-def _serve_agent(connection, state: _CoordinatorState, job: DistributedJob) -> None:
-    """Handle one agent connection until it disconnects (handler thread)."""
-    host = "?"
-    held: "set[int]" = set()
-    try:
-        while True:
-            try:
-                op, payload = connection.recv()
-            except (EOFError, OSError, ConnectionError):
-                return
-            if op == "hello":
-                host = str(payload)
-                state.register(host)
-                connection.send(
-                    (
-                        "welcome",
-                        {
-                            "runs": state.num_runs,
-                            "shards": len(state.plan.shards),
-                            "exchange": state.exchange,
-                        },
-                    )
-                )
-                continue
-            if op == "ping":
-                connection.send(("pong", None))
-                continue
-            if state.aborted is not None:
-                # A dead run (timeout / attempt-cap abort) tells its agents
-                # so; they exit cleanly with the reason instead of crunching
-                # a doomed batch and crashing on report.
-                connection.send(("abort", state.aborted))
-                continue
-            if op == "next":
-                assignment = state.take(host)
-                if assignment is not None:
-                    held.add(assignment.id)
-                    connection.send(("assign", (assignment.id, assignment.runs, job)))
-                elif state.finished.is_set():
-                    connection.send(("done", None))
-                else:
-                    # Work may still flow back: outstanding runs on a dying
-                    # host would land here after a re-queue.
-                    connection.send(("wait", 0.2))
-            elif op == "case-result":
-                _assignment_id, key, result = payload
-                state.complete(host, tuple(key), result)
-                reply = (
-                    ("abort", state.aborted)
-                    if state.aborted is not None
-                    else ("ok", state.update_for(host))
-                )
-                connection.send(reply)
-            elif op == "case-error":
-                _assignment_id, key, message = payload
-                state.fail_case(host, tuple(key), f"host error: {message}")
-                reply = (
-                    ("abort", state.aborted)
-                    if state.aborted is not None
-                    else ("ok", state.update_for(host))
-                )
-                connection.send(reply)
-            elif op == "progress":
-                _assignment_id, publishes, adopted = payload
-                state.record_exchange(host, publishes, adopted)
-                queries = [(name, cost) for name, _replica, cost, _err, _c in publishes]
-                connection.send(("ok", state.update_for(host, queries)))
-            else:
-                connection.send(("unknown-op", op))
-    finally:
-        connection.close()
-        # A vanished host forfeits only the *unfinished* runs it was holding.
-        state.lost(host, held)
+class _AgentSession:
+    """One agent connection's protocol state: who it is and what it holds.
 
-
-def _wake_listener(address, authkey: bytes, finished: threading.Event, deadline: "float | None"):
-    """Unblock the accept loop when the run finishes (or the deadline passes).
-
-    A raw timed connect, not an authenticated ``Client``: if the accept loop
-    has already exited, a full dial would wait forever in the listen backlog
-    for a challenge nobody sends.
+    ``close`` runs when the connection ends: a vanished host forfeits only
+    the *unfinished* runs it was holding.
     """
-    finished.wait(None if deadline is None else max(0.0, deadline - time.monotonic()))
-    try:
-        socket.create_connection(address, timeout=2.0).close()
-    except OSError:
-        pass
+
+    def __init__(self, state: _CoordinatorState, job: DistributedJob) -> None:
+        self.state = state
+        self.job = job
+        self.host = "?"
+        self.held: "set[int]" = set()
+
+    def handle(self, op, payload):
+        state = self.state
+        if op == "hello":
+            self.host = str(payload)
+            state.register(self.host)
+            return (
+                "welcome",
+                {
+                    "runs": state.num_runs,
+                    "shards": len(state.plan.shards),
+                    "exchange": state.exchange,
+                },
+            )
+        if op == "ping":
+            return ("pong", None)
+        if state.aborted is not None:
+            # A dead run (timeout / attempt-cap abort) tells its agents so;
+            # they exit cleanly with the reason instead of crunching a
+            # doomed batch and crashing on report.
+            return ("abort", state.aborted)
+        if op == "next":
+            assignment = state.take(self.host)
+            if assignment is not None:
+                self.held.add(assignment.id)
+                return ("assign", (assignment.id, assignment.runs, self.job))
+            if state.finished.is_set():
+                return ("done", None)
+            # Work may still flow back: outstanding runs on a dying host
+            # would land here after a re-queue.
+            return ("wait", 0.2)
+        if op == "case-result":
+            _assignment_id, key, result = payload
+            state.complete(self.host, tuple(key), result)
+        elif op == "case-error":
+            _assignment_id, key, message = payload
+            state.fail_case(self.host, tuple(key), f"host error: {message}")
+        elif op == "progress":
+            _assignment_id, publishes, adopted = payload
+            state.record_exchange(self.host, publishes, adopted)
+            queries = [(name, cost) for name, _replica, cost, _err, _c in publishes]
+            return ("ok", state.update_for(self.host, queries))
+        else:
+            return ("unknown-op", op)
+        if state.aborted is not None:
+            return ("abort", state.aborted)
+        return ("ok", state.update_for(self.host))
+
+    def close(self) -> None:
+        self.state.lost(self.host, self.held)
 
 
 class Coordinator:
@@ -547,7 +520,7 @@ class Coordinator:
             return self._serve()
         finally:
             if self.drain_pool:
-                drain_connection_pool()
+                rpc.drain_connection_pool()
 
     def _serve(self) -> DistributedSuiteResult:
         state = _CoordinatorState(
@@ -557,33 +530,27 @@ class Coordinator:
             steal=self.steal,
         )
         started = time.monotonic()
-        deadline = None if self.timeout is None else started + self.timeout
-        with Listener((self.host, self.port), authkey=self.authkey) as listener:
-            self._address = listener.address
-            self._bound.set()
-            threading.Thread(
-                target=_wake_listener,
-                args=(listener.address, self.authkey, state.finished, deadline),
-                daemon=True,
-            ).start()
-            while not state.finished.is_set():
-                if deadline is not None and time.monotonic() >= deadline:
-                    reason = (
-                        f"distributed run timed out after {self.timeout:.0f}s "
-                        f"({state.snapshot()})"
-                    )
-                    # Flip the abort flag *before* raising: the handler
-                    # threads outlive the accept loop and answer connected
-                    # agents with the abort so they shut down cleanly.
-                    state.abort(reason)
-                    raise TimeoutError(reason)
-                try:
-                    connection = listener.accept()
-                except Exception:
-                    continue  # failed handshake must not kill the run
-                threading.Thread(
-                    target=_serve_agent, args=(connection, state, self.job), daemon=True
-                ).start()
+        server = rpc.Server(
+            (self.host, self.port),
+            self.authkey,
+            session=lambda: _AgentSession(state, self.job),
+        )
+        self._address = server.address
+        self._bound.set()
+        server.start()
+        try:
+            if not state.finished.wait(self.timeout):
+                reason = (
+                    f"distributed run timed out after {self.timeout:.0f}s "
+                    f"({state.snapshot()})"
+                )
+                # Flip the abort flag *before* raising: the handler threads
+                # outlive the listener and answer connected agents with the
+                # abort so they shut down cleanly.
+                state.abort(reason)
+                raise TimeoutError(reason)
+        finally:
+            server.stop()
         if state.fatal is not None:
             raise RuntimeError(
                 f"distributed run aborted: {state.fatal} "

@@ -18,7 +18,7 @@ case exactly like worker 0 anchors a portfolio.
 Agents are stateless pull-workers: the job spec travels with each
 assignment, a lost agent forfeits only its unfinished runs, and between
 runs the agent drains its pooled cache connections
-(:func:`repro.perf.shared_cache.drain_connection_pool`) so a long-lived
+(:func:`repro.rpc.drain_connection_pool`) so a long-lived
 agent never leaks sockets across the many portfolio runs it hosts.
 
 The same execution path is exposed in-process as :func:`run_local`, which
@@ -32,6 +32,7 @@ import argparse
 import time
 import traceback
 
+from repro import rpc
 from repro.distrib.merge import DistributedSuiteResult, ShardResult, merge_shard_results
 from repro.distrib.plan import CaseRun, DistributedJob, Shard, ShardPlan
 from repro.perf.report import PerfReport
@@ -218,12 +219,12 @@ def run_local(job: DistributedJob, plan: ShardPlan, host: str = "local") -> Dist
 class HostAgent:
     """One machine's worker loop against a coordinator.
 
-    Pull protocol over ``multiprocessing.connection`` (length-prefixed
-    pickle frames): ``hello`` registers, ``next`` requests work, the
-    coordinator answers ``assign`` / ``wait`` / ``done`` / ``abort``.  Each
-    assignment is a batch of :class:`~repro.distrib.plan.CaseRun`\\ s the
-    agent executes in order, posting a ``case-result`` per finished run and
-    a ``progress`` heartbeat between exchange rounds while a run is live.
+    Pull protocol over a :class:`repro.rpc.Channel`: ``hello`` registers,
+    ``next`` requests work, the coordinator answers ``assign`` / ``wait`` /
+    ``done`` / ``abort``.  Each assignment is a batch of
+    :class:`~repro.distrib.plan.CaseRun`\\ s the agent executes in order,
+    posting a ``case-result`` per finished run and a ``progress`` heartbeat
+    between exchange rounds while a run is live.
     Every reply to a post carries an *update*: runs revoked from this host
     (finished elsewhere, or stolen while this host was busy) and — with
     ``job.cross_host_exchange`` — any strictly better global incumbent for
@@ -273,34 +274,33 @@ class HostAgent:
         #: cross-host incumbents this agent adopted (telemetry)
         self.adopted = 0
 
-    def _connect(self):
-        from multiprocessing.connection import Client
-
+    def _connect(self) -> rpc.Channel:
+        """Dial the coordinator: a private channel, since the connection is
+        this agent's session (the coordinator keys host identity on it)."""
         deadline = time.monotonic() + self.connect_timeout
         while True:
             try:
-                return Client(self.address, authkey=self.authkey)
-            except (ConnectionError, OSError):
+                return rpc.Channel(self.address, self.authkey)
+            except OSError:
                 if time.monotonic() >= deadline:
                     raise
                 time.sleep(min(self.poll_interval, 0.5))
 
-    def _post(self, connection, message) -> dict:
+    def _post(self, channel: rpc.Channel, message) -> dict:
         """Send one report/heartbeat; return the coordinator's update.
 
         Raises :class:`_RunAborted` on an ``abort`` reply so the whole
         assignment unwinds promptly, and lets connection errors propagate —
         the run loop treats a vanished coordinator as a finished run.
         """
-        connection.send(message)
-        op, payload = connection.recv()
+        op, payload = channel.call(*message)
         if op == "abort":
             raise _RunAborted(str(payload))
         if op != "ok":
             raise RuntimeError(f"unexpected coordinator reply {op!r}")
         return payload or {}
 
-    def _execute_assignment(self, connection, assignment_id: int, runs, job) -> int:
+    def _execute_assignment(self, channel, assignment_id: int, runs, job) -> int:
         """Run one assignment's cases in order; return how many completed here.
 
         ``revoked`` accumulates runs the coordinator has reassigned (stolen
@@ -332,7 +332,7 @@ class HostAgent:
                 raise
             except Exception as error:  # noqa: BLE001 - reported for re-queue
                 update = self._post(
-                    connection,
+                    channel,
                     (
                         "case-error",
                         (assignment_id, key, _failure_message(error)),
@@ -367,7 +367,7 @@ class HostAgent:
                         if improved:
                             published_cost = portfolio_run.incumbent_cost
                         update = self._post(
-                            connection,
+                            channel,
                             ("progress", (assignment_id, [publish], adopted_notes)),
                         )
                         adopted_notes = []
@@ -393,14 +393,14 @@ class HostAgent:
                 raise
             except Exception as error:  # noqa: BLE001 - reported for re-queue
                 update = self._post(
-                    connection,
+                    channel,
                     ("case-error", (assignment_id, key, _failure_message(error))),
                 )
                 revoked.update(tuple(k) for k in update.get("revoked", ()))
                 time.sleep(self.poll_interval)
                 continue
             update = self._post(
-                connection, ("case-result", (assignment_id, key, result))
+                channel, ("case-result", (assignment_id, key, result))
             )
             completed += 1
             revoked.update(tuple(k) for k in update.get("revoked", ()))
@@ -408,18 +408,14 @@ class HostAgent:
 
     def run(self) -> int:
         """Serve assignments until ``done``/``abort``; returns runs completed."""
-        from repro.perf.shared_cache import drain_connection_pool
-
         completed = 0
-        connection = self._connect()
+        channel = self._connect()
         try:
-            connection.send(("hello", self.name))
-            connection.recv()  # welcome
+            channel.call("hello", self.name)  # welcome
             while True:
                 try:
-                    connection.send(("next", None))
-                    op, payload = connection.recv()
-                except (EOFError, OSError, ConnectionError):
+                    op, payload = channel.call("next")
+                except (EOFError, OSError):
                     break  # coordinator finished and closed the listener
                 if op == "done":
                     break
@@ -438,7 +434,7 @@ class HostAgent:
                 assignment_id, runs, job = payload
                 try:
                     completed += self._execute_assignment(
-                        connection, assignment_id, runs, job
+                        channel, assignment_id, runs, job
                     )
                 except _RunAborted as aborted:
                     self.abort_reason = str(aborted)
@@ -447,20 +443,17 @@ class HostAgent:
                         flush=True,
                     )
                     break
-                except (EOFError, OSError, ConnectionError):
+                except (EOFError, OSError):
                     # The run finished without us (e.g. our runs were
                     # revoked and the listener closed); nothing left to
                     # report to.
                     break
         finally:
-            try:
-                connection.close()
-            except OSError:
-                pass
+            channel.close()
             # A long-lived agent outlives many runs (and their tcp caches):
             # drop pooled sockets so dead servers don't accumulate fds.
             if self.drain_pool:
-                drain_connection_pool()
+                rpc.drain_connection_pool()
         return completed
 
 

@@ -3,7 +3,7 @@
 See ``docs/architecture.md`` for the architecture: seed derivation, the
 exchange protocol, execution backends, and how to add a new portfolio
 variant; ``docs/caching.md`` covers sharing one resynthesis cache across
-workers (including across processes via the ``shm``/``server`` backends).
+workers (including across processes via the ``server:`` spec).
 """
 
 from repro.parallel.backends import BACKENDS, RoundExecutor

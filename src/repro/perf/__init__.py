@@ -11,16 +11,15 @@ Algorithm 1 regression pin observes:
   qubit-permutation-normalized) form of the block unitary, with LRU bounds
   and hit/miss counters;
 * :mod:`~repro.perf.shared_cache` — pluggable cache storage backends:
-  in-process (``local``), shared-memory (``shm``), a driver-owned cache
-  server (``server``), and a consistent-hash network client (``tcp``) over
-  standalone cache servers, so the cache can be shared across portfolio
-  workers in separate processes — or on separate machines (see
-  :mod:`repro.distrib`);
+  in-process (``local``) and a consistent-hash client (``tcp``) of cache
+  servers — either one the driver spawns (``server:``) or standalone ones —
+  so the cache can be shared across portfolio workers in separate processes,
+  or on separate machines (see :mod:`repro.distrib`);
 * :class:`~repro.perf.report.PerfReport` — per-phase wall-clock accounting,
   iteration throughput, and cache statistics, surfaced through
   ``GuoqResult.perf`` and merged across portfolio workers;
 * :mod:`~repro.perf.persist` — the crash-safe disk tier: ``local`` and
-  ``server`` stores (and the standalone tcp cache server) can snapshot
+  ``server:`` stores (and the standalone tcp cache server) can snapshot
   their buckets to an append-only corpus file and reload it on start, so a
   killed or restarted cache server comes back warm instead of cold.
 """
@@ -39,9 +38,7 @@ from repro.perf.shared_cache import (
     BackendSpec,
     CacheBackend,
     LocalBackend,
-    ServerBackend,
     SharedCacheUnavailable,
-    ShmBackend,
     TcpCacheBackend,
     create_backend,
     drain_connection_pool,
@@ -59,9 +56,7 @@ __all__ = [
     "LocalBackend",
     "PerfReport",
     "ResynthesisCache",
-    "ServerBackend",
     "SharedCacheUnavailable",
-    "ShmBackend",
     "TcpCacheBackend",
     "append_corpus",
     "canonicalize_unitary",

@@ -30,10 +30,10 @@ trace never reaches a resynthesis call.
 
 Storage is pluggable (see :mod:`repro.perf.shared_cache` and
 ``docs/caching.md``): the default ``local`` backend is a private in-process
-LRU, while the ``shm`` and ``server`` backends let portfolio workers in
-*separate processes* share one store — this front end keeps canonicalization,
-hit verification, per-worker counters, and a write-back buffer that batches
-puts to amortize IPC.
+LRU, while the ``tcp`` backend (a spawned ``server:`` or network cache
+servers) lets portfolio workers in *separate processes* share one store —
+this front end keeps canonicalization, hit verification, per-worker
+counters, and a write-back buffer that batches puts to amortize IPC.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class ResynthesisCache:
     ----------
     maxsize:
         Maximum number of entries; the least recently used bucket is evicted
-        when the bound is exceeded (insertion-ordered on the ``shm`` backend).
+        when the bound is exceeded.
     decimals:
         Quantization grid of the hash key (see :func:`canonicalize_unitary`).
     match_epsilon:
@@ -159,9 +159,11 @@ class ResynthesisCache:
         workers.  Whether sharing survives a *process* boundary depends on
         the backend: ``local`` pickles a private copy per worker (each keeps
         its own copy warm; the downgrade is recorded in :attr:`notes`), while
-        ``shm``/``server`` copies keep pointing at the one shared store.
+        ``tcp`` copies keep pointing at the one shared store.
     backend:
-        Storage backend: ``"local"`` (default), ``"shm"``, ``"server"``, or a
+        Storage backend: a spec string (``"local:"``, the default;
+        ``"server:"``; ``"tcp://host:port"``; see
+        :func:`~repro.perf.parse_backend_spec`), a :class:`BackendSpec`, or a
         ready-made backend object from :mod:`repro.perf.shared_cache`.
         Non-local backends require ``shared=True`` — a cross-process store
         makes no sense for a cache documented as private.
@@ -182,7 +184,7 @@ class ResynthesisCache:
         cache_failures: bool = True,
         verify_hits: bool = True,
         shared: bool = False,
-        backend: "str | object" = "local",
+        backend: "str | object" = "local:",
         write_batch_size: int = DEFAULT_WRITE_BATCH,
     ) -> None:
         if maxsize < 1:
@@ -204,7 +206,7 @@ class ResynthesisCache:
             kind = backend.kind
         if kind != "local" and not shared:
             # Validate before materializing: create_backend would spawn a
-            # server/manager process with no handle left to close it.
+            # server process with no handle left to close it.
             raise ValueError(
                 f"the {kind!r} backend is a shared store; construct the "
                 "cache with shared=True"
@@ -233,12 +235,9 @@ class ResynthesisCache:
         self._batch_failures = 0
         self._batch_failure_noted = False
         #: recently missed ``(key_bytes, canonical)`` pairs, recorded by
-        #: :meth:`get` and drained by batch dispatchers (``GuoqRun``, the
-        #: serve scheduler) at step boundaries; bounded so an undrained cache
-        #: never grows without bound
+        #: :meth:`get` and drained by ``GuoqRun`` at step boundaries; bounded
+        #: so an undrained cache never grows without bound
         self._missed: "deque[tuple[bytes, np.ndarray]]" = deque(maxlen=256)
-        #: misses republished by drain_missed_items for a cross-job pooler
-        self._missed_pooled: "deque[tuple[bytes, np.ndarray]]" = deque(maxlen=256)
         #: keys this front end itself stored — a hit on any other key served
         #: from a shared backend is a *cross-worker* (remote) hit
         self._my_keys: "set[bytes]" = set()
@@ -354,40 +353,10 @@ class ResynthesisCache:
         miss set into one batched prefetch or server-side synthesis job.
         Duplicate keys are collapsed (first occurrence wins — all
         occurrences share the canonical frame by construction).
-
-        Every drained item is simultaneously *republished* to the pooled
-        log (:meth:`drain_pooled_misses`), so a cross-job pooler above the
-        run — the serve scheduler — still sees misses a run-level
-        dispatcher already consumed.  Nobody below the pooler reads the
-        pooled log, so the two consumers never race for the same item.
         """
         with self._lock:
             drained = list(self._missed)
             self._missed.clear()
-        seen: "set[bytes]" = set()
-        unique = []
-        for key, canonical in drained:
-            if key not in seen:
-                seen.add(key)
-                unique.append((key, canonical))
-        if unique:
-            with self._lock:
-                self._missed_pooled.extend(unique)
-        return unique
-
-    def drain_pooled_misses(self) -> "list[tuple[bytes, np.ndarray]]":
-        """Consume the pooled miss log (cross-job poolers only).
-
-        Collects misses republished by :meth:`drain_missed_items` plus any
-        still sitting in the fresh log (configurations with no run-level
-        dispatcher), deduplicated by key.  Bounded like the fresh log, so a
-        deployment with no pooler simply ages old entries out.
-        """
-        fresh = self.drain_missed_items()  # republishes into the pool first
-        del fresh
-        with self._lock:
-            drained = list(self._missed_pooled)
-            self._missed_pooled.clear()
         seen: "set[bytes]" = set()
         unique = []
         for key, canonical in drained:
@@ -465,10 +434,10 @@ class ResynthesisCache:
     def _backend_get_many(self, keys: "list[bytes]") -> "dict[bytes, list[_Entry]]":
         """``backend.get_many`` that degrades a dead store to a miss.
 
-        The cache is a memo, never a source of truth — a ``server``/``shm``
-        store that dies mid-run must cost hit rate, not the run.  (The tcp
-        backend already absorbs its own failures per server; this guard is
-        what gives the other shared backends the same property.)
+        The cache is a memo, never a source of truth — a shared store that
+        dies mid-run must cost hit rate, not the run.  (The tcp backend
+        already absorbs its own failures per server; this guard gives any
+        other shared backend the same property.)
         """
         try:
             return self.backend.get_many(keys)
@@ -643,8 +612,8 @@ class ResynthesisCache:
     def close(self) -> None:
         """Flush buffered puts and release backend resources.
 
-        For the owning process of a ``server``/``shm`` backend this tears the
-        shared store down; worker-side copies merely drop their connection.
+        For the owner of a ``server:`` backend this tears the spawned cache
+        server down; worker-side copies merely drop their connection.
         """
         try:
             self.flush()
@@ -696,7 +665,6 @@ class ResynthesisCache:
         # The fork starts with an empty miss log: the original's undispatched
         # misses are its own dispatcher's responsibility, not the copy's.
         state["_missed"] = deque(maxlen=self._missed.maxlen)
-        state["_missed_pooled"] = deque(maxlen=self._missed_pooled.maxlen)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -714,7 +682,7 @@ class ResynthesisCache:
             self.notes = list(self.notes) + [
                 "shared resynthesis cache crossed a process boundary with the "
                 "'local' backend: this copy downgraded to a private in-process "
-                "cache (use backend='shm' or 'server' for cross-process sharing)"
+                "cache (use backend='server:' for cross-process sharing)"
             ]
 
 

@@ -23,8 +23,8 @@ class CacheStats:
     """
 
     token: str = ""
-    #: storage backend kind the cache front end was using: ``local``, ``shm``,
-    #: or ``server`` (see :mod:`repro.perf.shared_cache`)
+    #: storage backend kind the cache front end was using: ``local`` or
+    #: ``tcp`` (see :mod:`repro.perf.shared_cache`)
     backend: str = "local"
     hits: int = 0
     misses: int = 0
@@ -46,8 +46,8 @@ class CacheStats:
     #: marked dead (0 for every other backend)
     unreachable_servers: int = 0
     #: backend round trips the front end absorbed after a connection-level
-    #: failure (``server``/``shm`` stores lost mid-run degrade to local
-    #: misses instead of crashing the run)
+    #: failure (shared stores lost mid-run degrade to local misses instead
+    #: of crashing the run)
     backend_failures: int = 0
     #: batched resynthesis dispatches that failed or degraded mid-batch
     #: (server-side batch jobs lost to a dead worker, offloads rejected by

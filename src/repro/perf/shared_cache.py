@@ -1,44 +1,31 @@
-"""Cache storage backends: in-process, shared-memory, and cache-server.
+"""Cache storage backends: in-process and cache-server.
 
 :class:`~repro.perf.cache.ResynthesisCache` is split into a *front end* (key
 canonicalization, hit verification, per-worker counters — always private to a
 worker) and a pluggable *backend* holding the actual ``key -> bucket`` store.
-Three backends cover the portfolio's execution modes:
+Two backends cover every execution mode:
 
 * ``local`` (:class:`LocalBackend`) — the plain in-process ``OrderedDict``
-  LRU used since PR 2.  Shareable across serial/thread workers only; a copy
-  that crosses a process boundary becomes private.
-* ``shm`` (:class:`ShmBackend`) — a ``multiprocessing.Manager`` dict fronted
-  by a small lock-striped index, so ``processes``-backend portfolio workers
-  read and write one shared store.  Mutations take a per-stripe lock
-  (read-modify-write of one bucket); reads are lock-free proxy lookups.
-* ``server`` (:class:`ServerBackend`) — a dedicated cache process owned by
-  the portfolio driver, speaking the length-prefixed pickle protocol of
-  ``multiprocessing.connection`` over a ``Listener`` socket.  Workers connect
-  lazily (once per process, at fork/spawn attach time) and batch get/put
-  round trips; the server serializes all mutations through one
-  :class:`_BucketStore`, which keeps true LRU order — the trade against
-  ``shm`` is one IPC hop per lookup versus manager-proxy traffic per bucket.
-* ``tcp`` (:class:`TcpCacheBackend`) — the same wire protocol as ``server``
-  but against one or more *network* cache servers on ``AF_INET`` addresses
-  (``tcp://host:port,host:port``), with consistent-hash key sharding across
-  servers.  This is the backend that lets portfolio runs on *different
-  machines* share synthesis results (see ``docs/distributed.md``); the
-  servers are standalone processes (``python -m repro.distrib.cache_server``)
-  whose lifetime spans many runs and many hosts, so unlike ``server`` the
-  backend never owns them.  An unreachable server at bring-up raises
+  LRU.  Shareable across serial/thread workers only; a copy that crosses a
+  process boundary becomes private.
+* ``tcp`` (:class:`TcpCacheBackend`) — a client of one or more cache-server
+  processes, each serving a :class:`_BucketStore` (true LRU, one lock) over
+  :mod:`repro.rpc`.  ``tcp://host:port[,host:port...]`` names standalone
+  network servers (``python -m repro.distrib.cache_server``), consistent-hash
+  sharded, whose lifetime spans many runs and hosts — this is what lets
+  portfolio runs on *different machines* share synthesis results (see
+  ``docs/distributed.md``).  ``server:`` (alias ``shm:``) is the same backend
+  with no addresses: :meth:`BackendSpec.create` spawns a driver-owned server
+  on 127.0.0.1 with a fresh random authkey, and the returned handle shuts it
+  down on ``close()``.  An unreachable server at bring-up raises
   :class:`SharedCacheUnavailable`; a server lost *mid-run* degrades its key
   range to miss/drop instead of failing the run.
 
-All backends implement the same small protocol (:class:`CacheBackend`):
+Both backends implement the same small protocol (:class:`CacheBackend`):
 ``get_many`` / ``put_many`` at bucket granularity (the unit the front end
 batches), plus ``stats``/``clear``/``close`` and a ``kind`` tag.  Entries are
 :class:`_Entry` records in the *canonical* qubit frame, so a bucket fetched
 by any worker can serve any query that canonicalizes to its key.
-
-Backends that reach shared state (``shm``/``server``) may be unavailable on
-restricted platforms (no subprocesses, no sockets); :func:`create_backend`
-raises :class:`SharedCacheUnavailable` so callers can degrade to ``local``.
 """
 
 from __future__ import annotations
@@ -46,22 +33,20 @@ from __future__ import annotations
 import bisect
 import hashlib
 import os
-import pickle
 import secrets
 import threading
-import warnings
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from multiprocessing.connection import Client, Listener
 from typing import Protocol
 
 import numpy as np
 
+from repro import rpc
 from repro.perf.persist import DEFAULT_FLUSH_INTERVAL, CorpusPersister
+from repro.rpc import drain_connection_pool
 from repro.synthesis.resynth import ResynthesisOutcome
 
-BACKEND_KINDS = ("local", "shm", "server", "tcp")
+BACKEND_KINDS = ("local", "tcp")
 
 #: how many pending puts a front end accumulates before flushing to a shared
 #: backend (amortizes IPC; see ``ResynthesisCache.write_batch_size``)
@@ -77,12 +62,10 @@ class CacheBackend(Protocol):
 
     Bucket-granular batched transfers (``get_many``/``put_many``) are the
     whole data plane — the front end batches around them, so a backend only
-    ever pays one round trip per batch.  A future distributed cache
-    implements exactly this protocol (the ``server`` backend's wire protocol
-    is the template).
+    ever pays one round trip per batch.
     """
 
-    #: backend kind tag: ``"local"``, ``"shm"``, ``"server"``, ...
+    #: backend kind tag: ``"local"`` or ``"tcp"``
     kind: str
     #: whether copies that cross a process boundary still reach this store
     shared_across_processes: bool
@@ -147,8 +130,8 @@ class _BucketStore:
     Holds ``key -> [entries]`` buckets in an ``OrderedDict`` whose order is
     recency (a matched or refreshed key moves to the back; eviction pops the
     front).  ``maxsize`` bounds the total entry count, not the bucket count.
-    This is both the ``local`` backend's store and the server process's
-    store, so local and server caches share one eviction policy bit for bit.
+    This is both the ``local`` backend's store and the cache server's store,
+    so local and served caches share one eviction policy bit for bit.
 
     ``store_path`` attaches the crash-safe disk tier of
     :mod:`repro.perf.persist`: the corpus file is reloaded (tolerantly —
@@ -323,278 +306,46 @@ class LocalBackend(_BucketStore):
         self.snapshot()
 
 
-class ShmBackend:
-    """Shared-memory backend: a Manager dict with a lock-striped index.
-
-    The manager process owns ``key -> bucket`` state; every portfolio worker
-    holds picklable proxies to the same dict.  Writes do a read-modify-write
-    of one bucket under the key's stripe lock (``stripes`` of them, so
-    workers writing different keys rarely contend); reads are single proxy
-    lookups and take no lock — a torn read is impossible because bucket
-    values are replaced wholesale, never mutated in place.
-
-    Eviction is insertion-ordered (FIFO over buckets) rather than true LRU:
-    per-lookup recency updates would turn every read into a write against the
-    manager, which is exactly the contention a striped shared cache is meant
-    to avoid.  The entry count bounding eviction is tracked under a dedicated
-    counter lock and is exact with respect to completed puts.
-    """
-
-    kind = "shm"
-    shared_across_processes = True
-    supports_batch_synthesis = False
-
-    def __init__(
-        self,
-        maxsize: int = 512,
-        match_epsilon: float = 1e-9,
-        stripes: int = 8,
-        manager=None,
-    ) -> None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be at least 1")
-        if stripes < 1:
-            raise ValueError("stripes must be at least 1")
-        self.maxsize = maxsize
-        self.match_epsilon = match_epsilon
-        if manager is None:
-            import multiprocessing
-
-            manager = multiprocessing.Manager()
-            self._manager = manager  # owned: shut down in close()
-        else:
-            self._manager = None
-        self._buckets = manager.dict()
-        self._locks = [manager.Lock() for _ in range(stripes)]
-        self._counter_lock = manager.Lock()
-        self._counters = manager.dict(entries=0, puts=0, evictions=0, negative_entries=0)
-
-    def _stripe(self, key: bytes) -> "threading.Lock":
-        # crc32, not hash(): the builtin hash of bytes is salted per process,
-        # so workers would disagree about which lock guards a key and the
-        # same-key read-modify-write serialization would silently break.
-        return self._locks[zlib.crc32(key) % len(self._locks)]
-
-    # -- protocol ------------------------------------------------------------
-
-    def get_many(self, keys: "list[bytes]") -> "dict[bytes, list[_Entry]]":
-        found: "dict[bytes, list[_Entry]]" = {}
-        for key in keys:
-            blob = self._buckets.get(key)
-            if blob is not None:
-                found[key] = pickle.loads(blob)
-        return found
-
-    def put_many(self, items: "list[tuple[bytes, _Entry]]") -> None:
-        appended = 0
-        puts = 0
-        negative = 0
-        for key, entry in items:
-            with self._stripe(key):
-                blob = self._buckets.get(key)
-                bucket = pickle.loads(blob) if blob is not None else []
-                # Delta the negative count around the merge: a refresh can
-                # flip an entry between failure and success, not just append.
-                before_negative = sum(1 for stored in bucket if stored.outcome is None)
-                grew = _merge_entry(bucket, entry, self.match_epsilon)
-                negative += (
-                    sum(1 for stored in bucket if stored.outcome is None) - before_negative
-                )
-                self._buckets[key] = pickle.dumps(bucket)
-            puts += 1
-            if grew:
-                appended += 1
-        with self._counter_lock:
-            self._counters["puts"] = self._counters["puts"] + puts
-            entries = self._counters["entries"] + appended
-            self._counters["entries"] = entries
-            self._counters["negative_entries"] = max(
-                0, self._counters["negative_entries"] + negative
-            )
-        if entries > self.maxsize:
-            self._evict(entries - self.maxsize)
-
-    def _evict(self, excess: int) -> None:
-        """Drop oldest-inserted buckets until ``excess`` entries are gone."""
-        dropped = 0
-        negative_dropped = 0
-        while dropped < excess:
-            try:
-                victim = next(iter(self._buckets.keys()))
-            except StopIteration:
-                break
-            with self._stripe(victim):
-                blob = self._buckets.pop(victim, None)
-            if blob is None:
-                continue
-            bucket = pickle.loads(blob)
-            dropped += len(bucket)
-            negative_dropped += sum(1 for entry in bucket if entry.outcome is None)
-        if dropped:
-            with self._counter_lock:
-                self._counters["entries"] = max(0, self._counters["entries"] - dropped)
-                self._counters["evictions"] = self._counters["evictions"] + dropped
-                self._counters["negative_entries"] = max(
-                    0, self._counters["negative_entries"] - negative_dropped
-                )
-
-    # -- introspection -------------------------------------------------------
-
-    def stats(self) -> dict:
-        return dict(self._counters)
-
-    def clear(self) -> None:
-        with self._counter_lock:
-            self._buckets.clear()
-            self._counters.update(entries=0, negative_entries=0)
-
-    def __len__(self) -> int:
-        return int(self._counters["entries"])
-
-    def close(self) -> None:
-        """Shut the manager down (only the creating process owns it)."""
-        if self._manager is not None:
-            self._manager.shutdown()
-            self._manager = None
-
-    # -- pickling (workers receive proxy handles, never the manager) ---------
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_manager"] = None
-        return state
-
-
 # --------------------------------------------------------------------------
-# Cache server: a dedicated process speaking length-prefixed pickle messages.
+# Cache server: one process serving a _BucketStore over repro.rpc.
 # --------------------------------------------------------------------------
 
-#: module-level client connection reuse: one connection (plus its I/O lock)
-#: per (address, authkey) per process, so a worker that receives many pickled
-#: ``ServerBackend``/``TcpCacheBackend`` handles (one per exchange round)
-#: dials each server once
-_CONNECTIONS: dict = {}
-_CONNECTIONS_GUARD = threading.Lock()
 
+def _cache_handler(store: _BucketStore):
+    """The cache protocol: ``(op, payload)`` in, ``(ok, result)`` out."""
 
-def _address_key(address) -> "tuple | object":
-    """Hashable pool-key form of a connection address (lists don't hash)."""
-    return tuple(address) if isinstance(address, (list, tuple)) else address
-
-
-def _pooled_channel(address, authkey: bytes):
-    """Dial (or reuse) the per-process connection to ``address``.
-
-    Returns ``(connection, io_lock)``; the lock serializes request/reply
-    pairs on the shared socket.  The dial itself happens *outside* the pool
-    guard — a slow or black-holed server (network caches can sit across a
-    WAN) must not stall every thread's traffic to healthy servers while the
-    OS connect times out.  A lost race simply closes the extra socket.
-    """
-    connection_key = (_address_key(address), authkey)
-    with _CONNECTIONS_GUARD:
-        channel = _CONNECTIONS.get(connection_key)
-    if channel is not None:
-        return channel
-    connection = Client(address, authkey=authkey)
-    with _CONNECTIONS_GUARD:
-        existing = _CONNECTIONS.get(connection_key)
-        if existing is not None:
-            channel = existing
-        else:
-            channel = (connection, threading.Lock())
-            _CONNECTIONS[connection_key] = channel
-    if channel[0] is not connection:  # raced another dialer; keep theirs
+    def handle(op, payload):
         try:
-            connection.close()
-        except OSError:
-            pass
-    return channel
+            if op == "get_many":
+                return True, store.get_many(payload)
+            if op == "put_many":
+                store.put_many(payload)
+                return True, len(payload)
+            if op == "stats":
+                return True, store.stats()
+            if op == "len":
+                return True, len(store)
+            if op == "clear":
+                store.clear()
+                return True, None
+            if op == "synth_batch":
+                # Server-side batch synthesis: one vectorized pass fills the
+                # store with a get_many miss-batch's outcomes.  Imported
+                # lazily — repro.synthesis.batch must not load at perf import
+                # time (see its module docstring).
+                from repro.synthesis.batch import synthesize_missing_into_store
 
+                spec, items = payload
+                return True, synthesize_missing_into_store(store, spec, items)
+            if op == "ping":
+                return True, "pong"
+            if op == "shutdown":
+                return rpc.Shutdown((True, None))
+            return False, f"unknown op {op!r}"
+        except Exception as error:  # noqa: BLE001 - reported to the client
+            return False, repr(error)
 
-def _drop_pooled_channel(address, authkey: bytes) -> None:
-    """Close and forget the pooled connection to ``address`` (if any)."""
-    connection_key = (_address_key(address), authkey)
-    with _CONNECTIONS_GUARD:
-        channel = _CONNECTIONS.pop(connection_key, None)
-    if channel is not None:
-        try:
-            channel[0].close()
-        except OSError:
-            pass
-
-
-def drain_connection_pool() -> int:
-    """Close every pooled cache connection this process holds.
-
-    Backend handles pool their sockets per ``(address, authkey)`` so that
-    repeated runs against the same store reuse one connection.  A long-lived
-    process that outlives many runs against *different* stores (e.g. a
-    ``repro.distrib`` host agent serving shard after shard) calls this
-    between runs so dead servers' sockets don't accumulate.  Returns the
-    number of connections closed.  Call it at a quiescent point (between
-    runs, not while requests are in flight): closing a socket under an
-    active request surfaces as a connection error to that request —
-    harmless for ``ServerBackend`` (it raises) and absorbed by
-    ``TcpCacheBackend``'s redial-once retry, but noisy.  The next request
-    simply redials.
-    """
-    with _CONNECTIONS_GUARD:
-        channels = list(_CONNECTIONS.values())
-        _CONNECTIONS.clear()
-    for connection, _ in channels:
-        try:
-            connection.close()
-        except OSError:
-            pass
-    return len(channels)
-
-
-def _serve_client(connection, store: _BucketStore, stop: threading.Event) -> None:
-    """Handle one worker connection until it disconnects (server side)."""
-    try:
-        while not stop.is_set():
-            try:
-                op, payload = connection.recv()
-            except (EOFError, OSError):
-                return
-            try:
-                if op == "get_many":
-                    reply = store.get_many(payload)
-                elif op == "put_many":
-                    store.put_many(payload)
-                    reply = len(payload)
-                elif op == "stats":
-                    reply = store.stats()
-                elif op == "len":
-                    reply = len(store)
-                elif op == "clear":
-                    store.clear()
-                    reply = None
-                elif op == "synth_batch":
-                    # Server-side batch synthesis: one vectorized pass fills
-                    # the store with a get_many miss-batch's outcomes so many
-                    # workers' misses are served by one synthesis sweep.
-                    # Imported lazily — repro.synthesis.batch must not load
-                    # at perf import time (see its module docstring).
-                    from repro.synthesis.batch import synthesize_missing_into_store
-
-                    spec, items = payload
-                    reply = synthesize_missing_into_store(store, spec, items)
-                elif op == "ping":
-                    reply = "pong"
-                elif op == "shutdown":
-                    stop.set()
-                    connection.send((True, None))
-                    return
-                else:
-                    connection.send((False, f"unknown op {op!r}"))
-                    continue
-                connection.send((True, reply))
-            except Exception as error:  # noqa: BLE001 - reported to the client
-                connection.send((False, repr(error)))
-    finally:
-        connection.close()
+    return handle
 
 
 def _serve_cache(
@@ -602,18 +353,16 @@ def _serve_cache(
     authkey: bytes,
     maxsize: int,
     match_epsilon: float,
-    address=None,
+    address,
     store_path=None,
     flush_interval: int = DEFAULT_FLUSH_INTERVAL,
 ) -> None:
     """Cache-server process entry point (spawn-safe: module level, plain args).
 
-    Binds a ``Listener`` on ``address`` (None lets the OS pick a local
-    address; an ``(host, port)`` tuple binds an ``AF_INET`` socket a remote
-    machine can reach), reports the bound address back through the
-    ``bootstrap`` pipe if one is given, then accepts worker connections until
-    one of them sends ``shutdown``.  Every connection is served by a daemon
-    thread against one shared :class:`_BucketStore`.
+    Binds ``address`` (an ``(host, port)`` pair; port 0 lets the OS choose),
+    reports the bound address back through the ``bootstrap`` pipe if one is
+    given, then serves one shared :class:`_BucketStore` until a client sends
+    ``shutdown``.
 
     With a ``store_path`` the store reloads the on-disk corpus at bind time
     and snapshots it on every exit path short of SIGKILL: the protocol
@@ -627,12 +376,10 @@ def _serve_cache(
         store_path=store_path,
         flush_interval=flush_interval,
     )
-    stop = threading.Event()
     if store_path is not None:
         import signal
 
         def _graceful_terminate(signum, frame):
-            stop.set()
             raise SystemExit(0)  # unwinds accept(); the finally below snapshots
 
         try:
@@ -640,187 +387,57 @@ def _serve_cache(
         except ValueError:
             pass  # not the main thread (embedded use); rely on clean shutdown
     try:
-        with Listener(address=address, authkey=bytes(authkey)) as listener:
-            if bootstrap is not None:
-                bootstrap.send(listener.address)
-                bootstrap.close()
-            while not stop.is_set():
-                try:
-                    connection = listener.accept()
-                except Exception:
-                    if stop.is_set():
-                        break
-                    continue
-                threading.Thread(
-                    target=_serve_client, args=(connection, store, stop), daemon=True
-                ).start()
-                # ``accept`` only returns when a client dials in, so the loop
-                # re-checks ``stop`` exactly when the shutdown request's extra
-                # wake-up connection (below) arrives.
+        server = rpc.Server(address, authkey, handle=_cache_handler(store))
+        if bootstrap is not None:
+            bootstrap.send(server.address)
+            bootstrap.close()
+        server.serve_forever()
     finally:
         store.snapshot()
 
 
-class ServerBackend:
-    """Client handle to a cache-server process (plus ownership, if creator).
+def spawn_cache_server(
+    host: str,
+    port: int,
+    authkey: bytes,
+    maxsize: int,
+    match_epsilon: float,
+    store_path=None,
+    flush_interval: int = DEFAULT_FLUSH_INTERVAL,
+    start_timeout: float = 30.0,
+):
+    """Start a cache-server process; returns ``(process, (host, port))``.
 
-    The wire protocol is ``multiprocessing.connection``'s native framing —
-    each message is a pickle preceded by its byte length — carrying
-    ``(op, payload)`` requests and ``(ok, result)`` replies.  Handles pickle
-    down to ``(address, authkey)``; an unpickled copy redials the server on
-    first use in its process (connections are cached per process, so the
-    per-round engine pickling of the processes backend reuses one socket).
+    The process is a daemon of the caller.  Raises
+    :class:`SharedCacheUnavailable` when it does not report its bound
+    address within ``start_timeout`` seconds.
     """
+    import multiprocessing
 
-    kind = "server"
-    shared_across_processes = True
-    #: the server process can run batch synthesis jobs against its own store
-    supports_batch_synthesis = True
-
-    def __init__(self, address, authkey: bytes, process=None, maxsize: int = 512) -> None:
-        self.address = address
-        self.authkey = bytes(authkey)
-        self.maxsize = maxsize
-        self._process = process  # owned by the creating (driver) process
-        self._closed = False
-
-    @classmethod
-    def start(
-        cls,
-        maxsize: int = 512,
-        match_epsilon: float = 1e-9,
-        start_timeout: float = 30.0,
-        store_path=None,
-        flush_interval: int = DEFAULT_FLUSH_INTERVAL,
-    ) -> "ServerBackend":
-        """Launch the server process and return the owning client handle.
-
-        ``store_path`` gives the server the crash-safe disk tier: it reloads
-        the corpus on start and snapshots it on shutdown/terminate, so the
-        next ``start`` against the same path begins warm.
-        """
-        import multiprocessing
-
-        authkey = secrets.token_bytes(16)
-        context = multiprocessing.get_context()
-        bootstrap_recv, bootstrap_send = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_serve_cache,
-            args=(
-                bootstrap_send,
-                authkey,
-                maxsize,
-                match_epsilon,
-                None,
-                store_path,
-                flush_interval,
-            ),
-            daemon=True,
-            name="resynth-cache-server",
-        )
-        process.start()
-        bootstrap_send.close()
-        if not bootstrap_recv.poll(start_timeout):
-            process.terminate()
-            raise SharedCacheUnavailable("cache server did not report an address in time")
-        address = bootstrap_recv.recv()
-        bootstrap_recv.close()
-        return cls(address, authkey, process=process, maxsize=maxsize)
-
-    # -- wire ----------------------------------------------------------------
-
-    def _channel(self):
-        return _pooled_channel(self.address, self.authkey)
-
-    def _request(self, op: str, payload=None):
-        if self._closed:
-            raise RuntimeError("cache backend handle is closed")
-        connection, io_lock = self._channel()
-        with io_lock:
-            connection.send((op, payload))
-            ok, result = connection.recv()
-        if not ok:
-            raise RuntimeError(f"cache server rejected {op!r}: {result}")
-        return result
-
-    # -- protocol ------------------------------------------------------------
-
-    def get_many(self, keys: "list[bytes]") -> "dict[bytes, list[_Entry]]":
-        return self._request("get_many", keys)
-
-    def put_many(self, items: "list[tuple[bytes, _Entry]]") -> None:
-        self._request("put_many", items)
-
-    def synth_batch(self, spec: dict, items: "list[tuple[bytes, np.ndarray]]") -> dict:
-        """Run a server-side batch synthesis job for a ``get_many`` miss-batch.
-
-        ``spec`` is a :func:`repro.synthesis.batch.resynthesizer_spec` dict;
-        ``items`` are ``(key, canonical_unitary)`` pairs.  The server skips
-        keys already stored, synthesizes the rest in one vectorized pass, and
-        stores the outcomes (failures included); the returned counters dict
-        (``received``/``present``/``synthesized``/``failures``) is advisory.
-        """
-        return self._request("synth_batch", (spec, items))
-
-    def stats(self) -> dict:
-        return self._request("stats")
-
-    def clear(self) -> None:
-        self._request("clear")
-
-    def __len__(self) -> int:
-        return int(self._request("len"))
-
-    def ping(self) -> bool:
-        return self._request("ping") == "pong"
-
-    # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def alive(self) -> bool:
-        return self._process is not None and self._process.is_alive()
-
-    def close(self) -> None:
-        """Tear the server down (owner) or just drop this process's socket.
-
-        Idempotent: the first call does the teardown and drains this
-        process's pooled connection to the server; repeated calls are no-ops,
-        so lifecycle code (portfolio exit paths, host agents, ``finally``
-        blocks) can all call it without coordinating.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self._process is not None:
-            try:
-                self._closed = False  # _request refuses on closed handles
-                self._request("shutdown")
-                # The accept loop needs one extra wake-up to observe stop.
-                try:
-                    Client(self.address, authkey=self.authkey).close()
-                except OSError:
-                    pass
-            except (OSError, EOFError, RuntimeError):
-                pass  # server already gone
-            finally:
-                self._closed = True
-            self._process.join(timeout=10.0)
-            if self._process.is_alive():
-                self._process.terminate()
-                self._process.join(timeout=5.0)
-            self._process = None
-        _drop_pooled_channel(self.address, self.authkey)
-
-    # -- pickling ------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        return {
-            "address": self.address,
-            "authkey": self.authkey,
-            "maxsize": self.maxsize,
-            "_process": None,
-            "_closed": False,
-        }
+    context = multiprocessing.get_context()
+    bootstrap_recv, bootstrap_send = context.Pipe(duplex=False)
+    process = context.Process(
+        target=_serve_cache,
+        args=(
+            bootstrap_send,
+            bytes(authkey),
+            maxsize,
+            match_epsilon,
+            (host, port),
+            store_path,
+            flush_interval,
+        ),
+        daemon=True,
+        name="repro-tcp-cache-server",
+    )
+    process.start()
+    bootstrap_send.close()
+    if not bootstrap_recv.poll(start_timeout):
+        process.terminate()
+        raise SharedCacheUnavailable("cache server did not report an address in time")
+    address = bootstrap_recv.recv()
+    bootstrap_recv.close()
+    return process, (str(address[0]), int(address[1]))
 
 
 # --------------------------------------------------------------------------
@@ -870,11 +487,11 @@ def parse_tcp_cache_url(url: str) -> "list[tuple[str, int]]":
 class TcpCacheBackend:
     """Consistent-hash client over one or more AF_INET cache servers.
 
-    Speaks the exact ``(op, payload)`` wire protocol of :class:`ServerBackend`
-    (length-prefixed pickle via ``multiprocessing.connection``), but against
-    standalone network servers (``python -m repro.distrib.cache_server``)
-    instead of a driver-owned child process — which is what lets portfolio
-    runs on *different machines* share one resynthesis store.
+    Speaks the cache server's ``(op, payload)`` protocol over
+    :mod:`repro.rpc` — against standalone network servers
+    (``python -m repro.distrib.cache_server``), which is what lets portfolio
+    runs on *different machines* share one resynthesis store, or against a
+    driver-owned server spawned by the ``server:`` spec.
 
     Keys are sharded across servers on a consistent-hash ring
     (``hash_replicas`` virtual points per server, SHA-1 positioned), so every
@@ -891,9 +508,10 @@ class TcpCacheBackend:
     ``unreachable_servers``/``dropped_requests``.  The run keeps its own
     correctness either way: the cache is a memo, never a source of truth.
 
-    The backend never owns the server processes (their lifetime deliberately
-    spans runs and hosts); :meth:`close` only drops this process's pooled
-    connections and is idempotent.
+    Network servers are never owned (their lifetime deliberately spans runs
+    and hosts): :meth:`close` only drops this process's pooled connections.
+    A backend built from the ``server:`` spec owns the server it spawned and
+    shuts it down on :meth:`close`; pickled copies only redial.
     """
 
     kind = "tcp"
@@ -914,6 +532,7 @@ class TcpCacheBackend:
         self.servers = [(str(host), int(port)) for host, port in servers]
         self.authkey = bytes(authkey) if authkey is not None else tcp_cache_authkey()
         self.hash_replicas = hash_replicas
+        self._process = None  # the server this handle owns (``server:`` spec only)
         self._closed = False
         self._dead: "set[int]" = set()
         self._dropped = 0
@@ -971,8 +590,6 @@ class TcpCacheBackend:
         for index in range(len(self.servers)):
             try:
                 self._request(index, "ping")
-            except SharedCacheUnavailable:
-                raise
             except Exception as error:
                 host, port = self.servers[index]
                 raise SharedCacheUnavailable(
@@ -983,10 +600,7 @@ class TcpCacheBackend:
         if self._closed:
             raise RuntimeError("cache backend handle is closed")
         address = self.servers[server_index]
-        connection, io_lock = _pooled_channel(address, self.authkey)
-        with io_lock:
-            connection.send((op, payload))
-            ok, result = connection.recv()
+        ok, result = rpc.call(address, self.authkey, op, payload)
         if not ok:
             raise RuntimeError(f"cache server {address} rejected {op!r}: {result}")
         return result
@@ -994,27 +608,19 @@ class TcpCacheBackend:
     def _request_degraded(self, server_index: int, op: str, payload=None, fallback=None):
         """One request, degrading a dead/dying server to ``fallback``.
 
-        A connection-level failure drops the pooled socket and retries once
-        on a fresh dial — so a stale pooled connection (server restarted,
-        pool drained mid-flight) never condemns a healthy server.  Only a
-        failure on the fresh connection marks the server dead and counts
-        toward ``dropped_requests``; protocol-level rejections still raise.
-        Requests are idempotent at the store level (puts are merges), so the
-        retry can never double-apply.
+        :func:`repro.rpc.call` already redials a stale pooled socket and
+        retries failed sends, so a connection-level failure that reaches
+        here is a lost server: it is marked dead and this and every later
+        request to it counts toward ``dropped_requests``.  Protocol-level
+        rejections still raise.
         """
-        if server_index in self._dead:
-            with self._stats_lock:
-                self._dropped += 1
-            return fallback
-        for attempt in range(2):
+        if server_index not in self._dead:
             try:
                 return self._request(server_index, op, payload)
-            except (OSError, EOFError, ConnectionError):
-                _drop_pooled_channel(self.servers[server_index], self.authkey)
-                if attempt == 1:
-                    self._dead.add(server_index)
-                    with self._stats_lock:
-                        self._dropped += 1
+            except (OSError, EOFError):
+                self._dead.add(server_index)
+        with self._stats_lock:
+            self._dropped += 1
         return fallback
 
     # -- protocol ------------------------------------------------------------
@@ -1033,12 +639,15 @@ class TcpCacheBackend:
     def synth_batch(self, spec: dict, items: "list[tuple[bytes, np.ndarray]]") -> dict:
         """Batch synthesis sharded across the ring, degrading dead servers.
 
-        Each item is routed to the server owning its key (the same ring as
-        ``get_many``, so the outcomes land where lookups will find them).
-        Items owned by a dead server are *not* synthesized remotely — they
-        come back in the ``dropped`` count and the caller falls back to
-        local scalar synthesis for them; a dying fleet costs speed, never a
-        dropped miss.
+        ``spec`` is a :func:`repro.synthesis.batch.resynthesizer_spec` dict;
+        ``items`` are ``(key, canonical_unitary)`` pairs.  Each item is routed
+        to the server owning its key (the same ring as ``get_many``, so the
+        outcomes land where lookups will find them); the server skips keys
+        already stored, synthesizes the rest in one vectorized pass, and
+        stores the outcomes.  Items owned by a dead server are *not*
+        synthesized remotely — they come back in the ``dropped`` count and
+        the caller falls back to local scalar synthesis for them; a dying
+        fleet costs speed, never a dropped miss.
         """
         totals = {"received": 0, "present": 0, "synthesized": 0, "failures": 0, "dropped": 0}
         for server_index, server_items in self._group_by_server(items).items():
@@ -1060,6 +669,10 @@ class TcpCacheBackend:
             if reply:
                 for field_name in totals:
                     totals[field_name] += int(reply.get(field_name, 0))
+                if "persist_loaded_entries" in reply:
+                    totals["persist_loaded_entries"] = totals.get(
+                        "persist_loaded_entries", 0
+                    ) + int(reply["persist_loaded_entries"])
                 # Persistence anomalies (corrupt corpus, failed writes) are
                 # recorded server-side; forward them so clients can surface
                 # them in PerfReport.notes.
@@ -1094,22 +707,33 @@ class TcpCacheBackend:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Drop this process's pooled server connections (idempotent).
+        """Drop this process's pooled connections; shut an owned server down.
 
-        Never shuts servers down — their lifetime spans runs and hosts; stop
-        them via their own CLI/process handle.
+        Idempotent, so lifecycle code (portfolio exit paths, host agents,
+        ``finally`` blocks) can all call it without coordinating.
         """
         if self._closed:
             return
+        process, self._process = self._process, None
+        if process is not None:
+            try:
+                self._request(0, "shutdown")
+            except (OSError, EOFError, RuntimeError):
+                pass  # server already gone
+            process.join(timeout=10.0)
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=5.0)
         self._closed = True
         for address in self.servers:
-            _drop_pooled_channel(address, self.authkey)
+            rpc.drop(address, self.authkey)
 
     # -- pickling (workers redial through the per-process pool) --------------
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_stats_lock"]
+        state["_process"] = None
         state["_closed"] = False
         state["_dead"] = set()
         state["_dropped"] = 0
@@ -1121,35 +745,29 @@ class TcpCacheBackend:
 
 
 #: query keys the backend-spec grammar accepts, in canonical order
-SPEC_QUERY_KEYS = ("store", "flush_every", "maxsize", "stripes", "match_epsilon")
+SPEC_QUERY_KEYS = ("store", "flush_every", "maxsize", "match_epsilon")
 
 _SPEC_GRAMMAR = (
     "local:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X] | "
-    "shm:[?maxsize=N&stripes=N&match_epsilon=X] | "
-    "server:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X] | "
-    "tcp://host:port[,host:port...]"
+    "server:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X] (alias shm:) | "
+    "tcp://host:port[,host:port...][?maxsize=N&match_epsilon=X]"
 )
 
+#: spec prefixes naming a tcp spec with no addresses: a driver-owned server
+_SPAWN_ALIASES = ("server", "shm")
 
-def _reject_store_path(kind: str, store_path, source: str) -> None:
-    """The up-front store-path guard: shm/tcp clients own no disk store.
+
+def _reject_store_path(servers, store_path, source: str) -> None:
+    """The up-front store-path guard: a client of network servers owns no store.
 
     Raised *before* any backend machinery is touched, naming the offending
-    spec string — a TCP *server* persists via ``--cache 'local:?store=...'``
-    (or the legacy ``--store``) on the server side instead.
+    spec string — a network cache server persists via
+    ``--cache 'local:?store=...'`` on the server side instead.
     """
-    if store_path is None:
-        return
-    if kind == "shm":
-        raise ValueError(
-            f"store_path is not supported by the shm backend (spec {source!r}): "
-            "the manager dict owns no disk store"
-        )
-    if kind == "tcp":
+    if store_path is not None and servers:
         raise ValueError(
             f"store_path applies to the cache server, not the tcp client "
-            f"(spec {source!r}); start the server with --cache 'local:?store=PATH' "
-            "(or --store PATH) instead"
+            f"(spec {source!r}); start the server with --cache 'local:?store=PATH' instead"
         )
 
 
@@ -1157,15 +775,16 @@ def _reject_store_path(kind: str, store_path, source: str) -> None:
 class BackendSpec:
     """A parsed cache-backend specification — the one way to spell backends.
 
-    Produced by :func:`parse_backend_spec` from any accepted spelling (URL
-    form, legacy bare kind, ``True``); two spellings that resolve to the same
-    configuration compare equal (``source`` keeps the original text for error
-    messages but is excluded from comparison).  ``canonical`` renders the
-    URL form back out; :meth:`create` materializes the backend.
+    Produced by :func:`parse_backend_spec`; two spellings that resolve to
+    the same configuration (``shm:`` and ``server:``) compare equal
+    (``source`` keeps the original text for error messages but is excluded
+    from comparison).  ``canonical`` renders the URL form back out;
+    :meth:`create` materializes the backend.
 
-    Optional fields left as ``None`` fall back to the defaults supplied at
-    :meth:`create` time, so a bare ``"local:"`` behaves exactly like the
-    legacy ``create_backend("local")``.
+    ``kind`` is ``"local"`` or ``"tcp"``.  A ``tcp`` spec without
+    ``servers`` (spelled ``server:``) spawns a driver-owned cache server on
+    127.0.0.1 at :meth:`create` time.  Optional fields left as ``None`` fall
+    back to the defaults supplied at :meth:`create` time.
     """
 
     kind: str
@@ -1173,17 +792,16 @@ class BackendSpec:
     store_path: "str | None" = None
     flush_interval: "int | None" = None
     maxsize: "int | None" = None
-    stripes: "int | None" = None
     match_epsilon: "float | None" = None
     source: str = field(default="", compare=False)
 
     @property
     def canonical(self) -> str:
         """The canonical URL spelling of this spec."""
-        if self.kind == "tcp":
+        if self.servers:
             base = TCP_URL_PREFIX + ",".join(f"{host}:{port}" for host, port in self.servers)
         else:
-            base = f"{self.kind}:"
+            base = "server:" if self.kind == "tcp" else f"{self.kind}:"
         query = []
         if self.store_path is not None:
             query.append(f"store={self.store_path}")
@@ -1191,8 +809,6 @@ class BackendSpec:
             query.append(f"flush_every={self.flush_interval}")
         if self.maxsize is not None:
             query.append(f"maxsize={self.maxsize}")
-        if self.stripes is not None:
-            query.append(f"stripes={self.stripes}")
         if self.match_epsilon is not None:
             query.append(f"match_epsilon={self.match_epsilon}")
         return base + ("?" + "&".join(query) if query else "")
@@ -1201,7 +817,6 @@ class BackendSpec:
         self,
         maxsize: int = 512,
         match_epsilon: float = 1e-9,
-        stripes: int = 8,
         store_path=None,
         flush_interval: int = DEFAULT_FLUSH_INTERVAL,
     ):
@@ -1209,27 +824,16 @@ class BackendSpec:
 
         Values carried by the spec itself (from its query string) win over
         the keyword defaults, so ``parse_backend_spec(s).create()`` honors
-        everything encoded in ``s`` while legacy call sites keep passing
-        their own defaults through.  Raises :class:`SharedCacheUnavailable`
+        everything encoded in ``s``.  Raises :class:`SharedCacheUnavailable`
         when the platform cannot bring the backend up.
         """
         maxsize = self.maxsize if self.maxsize is not None else maxsize
         match_epsilon = self.match_epsilon if self.match_epsilon is not None else match_epsilon
-        stripes = self.stripes if self.stripes is not None else stripes
         store_path = self.store_path if self.store_path is not None else store_path
         if self.flush_interval is not None:
             flush_interval = self.flush_interval
         source = self.source or self.canonical
-        _reject_store_path(self.kind, store_path, source)
-        if self.kind == "tcp":
-            try:
-                return TcpCacheBackend(list(self.servers))
-            except SharedCacheUnavailable:
-                raise
-            except Exception as error:
-                raise SharedCacheUnavailable(
-                    f"tcp cache backend unavailable for {source!r}: {error!r}"
-                ) from error
+        _reject_store_path(self.servers, store_path, source)
         if self.kind == "local":
             return LocalBackend(
                 maxsize=maxsize,
@@ -1237,28 +841,31 @@ class BackendSpec:
                 store_path=store_path,
                 flush_interval=flush_interval,
             )
-        if self.kind == "shm":
-            try:
-                return ShmBackend(maxsize=maxsize, match_epsilon=match_epsilon, stripes=stripes)
-            except SharedCacheUnavailable:
+        process = None
+        try:
+            if self.servers:
+                return TcpCacheBackend(list(self.servers))
+            authkey = secrets.token_bytes(16)
+            process, address = spawn_cache_server(
+                "127.0.0.1",
+                0,
+                authkey,
+                maxsize,
+                match_epsilon,
+                store_path=store_path,
+                flush_interval=flush_interval,
+            )
+            backend = TcpCacheBackend([address], authkey=authkey)
+            backend._process = process
+            return backend
+        except Exception as error:
+            if process is not None:
+                process.terminate()
+            if isinstance(error, SharedCacheUnavailable):
                 raise
-            except Exception as error:
-                raise SharedCacheUnavailable(f"shm cache backend unavailable: {error!r}") from error
-        if self.kind == "server":
-            try:
-                return ServerBackend.start(
-                    maxsize=maxsize,
-                    match_epsilon=match_epsilon,
-                    store_path=store_path,
-                    flush_interval=flush_interval,
-                )
-            except SharedCacheUnavailable:
-                raise
-            except Exception as error:
-                raise SharedCacheUnavailable(
-                    f"server cache backend unavailable: {error!r}"
-                ) from error
-        raise ValueError(f"backend must be one of {BACKEND_KINDS}, got {self.kind!r}")
+            raise SharedCacheUnavailable(
+                f"tcp cache backend unavailable for {source!r}: {error!r}"
+            ) from error
 
 
 def _parse_spec_query(query: str, source: str) -> dict:
@@ -1273,8 +880,8 @@ def _parse_spec_query(query: str, source: str) -> dict:
             raise ValueError(f"malformed query item {part!r} in backend spec {source!r}")
         if name not in SPEC_QUERY_KEYS:
             raise ValueError(
-                f"unknown query key {name!r} in backend spec {source!r} "
-                f"(accepted: {', '.join(SPEC_QUERY_KEYS)})"
+                f"unknown query key {name!r} in backend spec {source!r}; "
+                f"expected {_SPEC_GRAMMAR}"
             )
         try:
             if name == "store":
@@ -1293,99 +900,73 @@ def _parse_spec_query(query: str, source: str) -> dict:
 
 
 def parse_backend_spec(spec, parameter: "str | None" = None) -> BackendSpec:
-    """Parse any accepted cache-backend spelling into a :class:`BackendSpec`.
+    """Parse a cache-backend spec string into a :class:`BackendSpec`.
 
     The one grammar every cache-configuration surface routes through
     (``create_backend``, ``share_resynthesis_cache=``, ``resynthesis_cache=``,
     the serve/coordinator/cache-server ``--cache`` flags)::
 
         local:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X]
-        shm:[?maxsize=N&stripes=N&match_epsilon=X]
-        server:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X]
+        server:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X]   (alias shm:)
         tcp://host:port[,host:port...][?maxsize=N&match_epsilon=X]
 
-    Legacy spellings still parse — bare kind names (``"shm"``) and ``True``
-    (meaning ``local``) — but emit a :class:`DeprecationWarning` naming the
-    new form when ``parameter`` identifies the user-facing argument they came
-    in through.  Internal plumbing passes ``parameter=None`` to stay silent.
-    Validation is up-front: malformed specs, unknown query keys, and
-    ``store`` on backends that own no disk store all raise :class:`ValueError`
-    naming the offending spec string before any machinery is touched.
+    Validation is up-front: anything else — bare kind names, ``True``,
+    malformed specs, unknown query keys, ``store`` on a client of network
+    servers — raises naming the offending spec (and ``parameter``, the
+    user-facing argument it came in through, when given) before any
+    machinery is touched.
     """
     if isinstance(spec, BackendSpec):
         return spec
-    if spec is True:
-        if parameter:
-            warnings.warn(
-                f"{parameter}=True is deprecated; pass the backend spec 'local:' instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return BackendSpec(kind="local", source="True")
+    named = f"{parameter}={spec!r}" if parameter else repr(spec)
     if not isinstance(spec, str):
-        raise TypeError(f"backend spec must be a string or BackendSpec, got {type(spec).__name__}")
+        raise TypeError(
+            f"backend spec must be a string or BackendSpec, got {named}; expected {_SPEC_GRAMMAR}"
+        )
     source = spec
     if spec.startswith(TCP_URL_PREFIX):
         base, _, query = spec.partition("?")
         values = _parse_spec_query(query, source)
         servers = tuple(parse_tcp_cache_url(base))
-        result = BackendSpec(kind="tcp", servers=servers, source=source, **values)
-        _reject_store_path("tcp", result.store_path, source)
-        return result
+        _reject_store_path(servers, values.get("store_path"), source)
+        return BackendSpec(kind="tcp", servers=servers, source=source, **values)
     kind, separator, rest = spec.partition(":")
-    if separator and kind in ("local", "shm", "server"):
-        if rest and not rest.startswith("?"):
-            raise ValueError(
-                f"unrecognized backend spec {source!r}; expected {_SPEC_GRAMMAR}"
-            )
-        values = _parse_spec_query(rest[1:] if rest else "", source)
-        result = BackendSpec(kind=kind, source=source, **values)
-        _reject_store_path(kind, result.store_path, source)
-        return result
-    if spec in ("local", "shm", "server"):
-        if parameter:
-            warnings.warn(
-                f"{parameter}={spec!r} is deprecated; pass the backend spec {spec + ':'!r} instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return BackendSpec(kind=spec, source=source)
-    raise ValueError(f"unrecognized backend spec {source!r}; expected {_SPEC_GRAMMAR}")
+    if separator and kind in ("local",) + _SPAWN_ALIASES and (not rest or rest[0] == "?"):
+        values = _parse_spec_query(rest[1:], source)
+        kind = "local" if kind == "local" else "tcp"
+        return BackendSpec(kind=kind, source=source, **values)
+    raise ValueError(f"unrecognized backend spec {named}; expected {_SPEC_GRAMMAR}")
 
 
 def create_backend(
     kind,
     maxsize: int = 512,
     match_epsilon: float = 1e-9,
-    stripes: int = 8,
     store_path=None,
     flush_interval: int = DEFAULT_FLUSH_INTERVAL,
 ):
     """Build a cache backend from a spec, or raise :class:`SharedCacheUnavailable`.
 
     A thin shim over :func:`parse_backend_spec` + :meth:`BackendSpec.create`:
-    ``kind`` may be any accepted spec spelling (``"local:"``, ``"shm:"``,
-    ``"server:"``, ``"tcp://host:port[,...]?..."``, a :class:`BackendSpec`,
-    or a legacy bare kind name — accepted here without a deprecation warning,
-    since internal plumbing routes through this function).  Keyword arguments
-    are fallbacks for anything the spec's query string doesn't pin.
+    ``kind`` is a spec string (``"local:"``, ``"server:"``/``"shm:"``,
+    ``"tcp://host:port[,...]?..."``) or a :class:`BackendSpec`.  Keyword
+    arguments are fallbacks for anything the spec's query string doesn't pin.
 
-    ``local`` always succeeds; ``shm``/``server`` need working
-    subprocess/socket machinery and ``tcp`` needs reachable network cache
-    servers, so any bring-up failure is wrapped in
-    :class:`SharedCacheUnavailable` for callers to catch and degrade.
+    ``local`` always succeeds; ``server:`` needs working subprocess/socket
+    machinery and ``tcp://`` needs reachable network cache servers, so any
+    bring-up failure is wrapped in :class:`SharedCacheUnavailable` for
+    callers to catch and degrade.
 
     ``store_path`` attaches the crash-safe disk tier (``docs/caching.md``,
     "Persistence tier") to the backends that own a store: ``local`` reloads
-    on construction and persists on ``close()``; ``server`` hands the path to
-    its child process.  ``shm`` and ``tcp`` clients own no store, so the
-    combination is rejected up front with an error naming the spec.
+    on construction and persists on ``close()``; ``server:`` hands the path
+    to its spawned server.  A client of network servers owns no store, so
+    that combination is rejected up front with an error naming the spec.
     """
     spec = parse_backend_spec(kind)
     return spec.create(
         maxsize=maxsize,
         match_epsilon=match_epsilon,
-        stripes=stripes,
         store_path=store_path,
         flush_interval=flush_interval,
     )
@@ -1399,9 +980,7 @@ __all__ = [
     "DEFAULT_WRITE_BATCH",
     "LocalBackend",
     "SPEC_QUERY_KEYS",
-    "ServerBackend",
     "SharedCacheUnavailable",
-    "ShmBackend",
     "TcpCacheBackend",
     "create_backend",
     "drain_connection_pool",

@@ -11,8 +11,8 @@ scheduler (:class:`~repro.serve.scheduler.JobScheduler`) time-slices
 cooperating parts:
 
 * the **protocol** (:mod:`repro.serve.protocol`) — job records and the
-  ``(op, payload)`` wire ops, on the same ``multiprocessing.connection``
-  transport as the distrib coordinator and cache servers;
+  ``(op, payload)`` wire ops, on the same :mod:`repro.rpc` transport as
+  the distrib coordinator and cache servers;
 * the **scheduler** (:mod:`repro.serve.scheduler`) — weighted-fair
   quantum granting over step-wise :class:`~repro.parallel.PortfolioRun` s;
 * the **server** (:class:`JobServer`, ``python -m repro.serve.cli serve``)

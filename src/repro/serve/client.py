@@ -1,10 +1,10 @@
 """Client for the optimization job server.
 
-:class:`JobClient` dials a :class:`~repro.serve.JobServer` over the pooled
-``multiprocessing.connection`` channel the cache backends share (one socket
-per ``(address, authkey)`` per process, request/reply serialized by its io
-lock), so a process talking to a server and its caches holds a bounded
-number of sockets no matter how many clients it builds.
+:class:`JobClient` dials a :class:`~repro.serve.JobServer` through the
+:mod:`repro.rpc` connection pool the cache backends share (one socket per
+``(address, authkey)`` per process, request/reply serialized by its lock),
+so a process talking to a server and its caches holds a bounded number of
+sockets no matter how many clients it builds.
 
 A job id is the whole session: :meth:`submit` returns one, and any client
 anywhere holding it can :meth:`status`, :meth:`incumbents`, :meth:`result`,
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 
-from repro.perf.shared_cache import _drop_pooled_channel, _pooled_channel
+from repro import rpc
 from repro.serve.protocol import JobSpec, serve_authkey
 
 
@@ -43,31 +43,7 @@ class JobClient:
         self.authkey = bytes(authkey) if authkey is not None else serve_authkey()
 
     def _request(self, op: str, payload=None):
-        last_attempt = 4
-        for attempt in range(last_attempt + 1):
-            connection, io_lock = _pooled_channel(self.address, self.authkey)
-            with io_lock:
-                try:
-                    connection.send((op, payload))
-                except (OSError, ConnectionError):
-                    # Nothing reached the server (e.g. a sibling client's
-                    # close() dropped the pooled socket): re-dial and retry
-                    # — a failed *send* is always safe to repeat, and each
-                    # sibling close can sink at most one attempt.  A truly
-                    # dead server stops the loop earlier: the re-dial
-                    # itself raises.
-                    _drop_pooled_channel(self.address, self.authkey)
-                    if attempt == last_attempt:
-                        raise
-                    continue
-                try:
-                    ok, result = connection.recv()
-                except (EOFError, OSError, ConnectionError):
-                    # The request may have been acted on; drop the dead
-                    # socket but never retry a delivered request.
-                    _drop_pooled_channel(self.address, self.authkey)
-                    raise
-            break
+        ok, result = rpc.call(self.address, self.authkey, op, payload)
         if not ok:
             raise RuntimeError(f"server rejected {op!r}: {result}")
         return result
@@ -151,16 +127,11 @@ class JobClient:
     def close(self) -> None:
         """Drop this process's pooled connection to the server.
 
-        Waits for the channel's io lock first, so a request another thread
-        has in flight on the shared socket completes before it closes (that
-        thread's *next* request transparently re-dials).
+        A request another thread has in flight on the shared socket
+        completes first (that thread's *next* request transparently
+        re-dials).
         """
-        try:
-            _, io_lock = _pooled_channel(self.address, self.authkey)
-        except Exception:  # noqa: BLE001 - nothing to close if dialing fails
-            return
-        with io_lock:
-            _drop_pooled_channel(self.address, self.authkey)
+        rpc.drop(self.address, self.authkey)
 
     def __enter__(self) -> "JobClient":
         return self

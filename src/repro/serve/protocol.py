@@ -1,10 +1,10 @@
 """Wire protocol and shared records of the optimization job service.
 
-The serve layer speaks the repo's one RPC idiom — length-prefixed pickle
-``(op, payload)`` requests answered by ``(ok, result)`` over
-``multiprocessing.connection`` — exactly like the distrib coordinator and
-the cache servers, so one transport stack (and one authkey convention)
-covers every network surface.  The ops a :class:`~repro.serve.JobServer`
+The serve layer speaks the package's one transport, :mod:`repro.rpc` —
+length-prefixed pickle ``(op, payload)`` requests, here answered by
+``(ok, result)`` — exactly like the distrib coordinator and the cache
+servers, so one transport stack (and one authkey convention) covers every
+network surface.  The ops a :class:`~repro.serve.JobServer`
 answers:
 
 ========== ============================ =========================================

@@ -55,10 +55,6 @@ from repro.serve.protocol import (
 #: ``deadline`` seconds is weighted ``max(1, horizon / deadline)``
 DEADLINE_HORIZON = 60.0
 
-#: hard bound on the shared miss-batch queue; a full queue force-flushes
-#: rather than growing without limit when dispatch keeps failing
-BATCH_QUEUE_LIMIT = 1024
-
 
 class ScheduledJob:
     """One job's scheduler-side record (internal; clients see JobStatus)."""
@@ -81,8 +77,6 @@ class ScheduledJob:
         self.message: "str | None" = None
         self._cache = None  # this job's front end over the shared backend
         self._iterations_charged = 0
-        #: resynthesizer spec for server-side batch synthesis (captured at open)
-        self._batch_spec: "dict | None" = None
 
     @property
     def terminal(self) -> bool:
@@ -136,10 +130,12 @@ class JobScheduler:
     grammar) naming the *one* resynthesis store every job shares.  Each job
     gets its own :class:`~repro.perf.ResynthesisCache` front end over that
     backend, which is what makes cross-tenant reuse visible: a hit on an
-    entry another job stored counts in ``cache_remote_hits``.  (The
-    ``local:`` kind still shares, but its front end short-circuits the
-    remote-hit bookkeeping — use ``server:`` or ``tcp://`` specs when the
-    counter matters, as the CI smoke does.)
+    entry another job stored counts in ``cache_remote_hits``.  Every engine
+    step flushes its front end's buffered puts, so a job's synthesis results
+    reach its resident siblings at the next quantum.  (The ``local:`` kind
+    still shares, but its front end short-circuits the remote-hit
+    bookkeeping — use ``server:`` or ``tcp://`` specs when the counter
+    matters, as the CI smoke does.)
 
     ``max_resident`` bounds how many runs are open (engines built, executor
     up) at once; excess jobs wait in ``queued`` — or are carried off whole
@@ -164,18 +160,6 @@ class JobScheduler:
         self.tenant_spent: "dict[str, int]" = {}
         self.jobs: "dict[str, ScheduledJob]" = {}
         self.notes: "list[str]" = []
-        #: shared miss-batch queue: canonical key -> (canonical unitary, spec).
-        #: Misses from *every* resident job pool here so one server-side
-        #: batch synthesis call covers them all; dedup by key means a miss
-        #: two jobs share is synthesized once.
-        self._batch_queue: "dict[bytes, tuple[object, dict | None]]" = {}
-        #: flush the queue once it holds this many distinct keys (tests set
-        #: it to 1 to make dispatch per-tick deterministic); the tail is
-        #: flushed at close()
-        self.batch_dispatch_min = 8
-        self.batch_jobs = 0
-        self.batch_failures = 0
-        self._batch_failure_noted = False
         self._counter = itertools.count()
         self._cache_spec = None
         self._cache_backend = None
@@ -299,15 +283,6 @@ class JobScheduler:
             job.spec.seed,
             share_resynthesis_cache=job._cache,
         )
-        if job._cache is not None:
-            from repro.synthesis.batch import resynthesizer_spec
-
-            for transformation in optimizer.transformations:
-                resynthesizer = getattr(transformation, "resynthesizer", None)
-                if resynthesizer is not None:
-                    job._batch_spec = resynthesizer_spec(resynthesizer)
-                    if job._batch_spec is not None:
-                        break
         job.run = optimizer.start(job.spec.circuit)
         job.state = "running"
         self._record_incumbent(job)  # seq 1: the starting cost
@@ -329,7 +304,6 @@ class JobScheduler:
         return True
 
     def _finalize(self, job: ScheduledJob, state: str, message: "str | None" = None) -> None:
-        self._route_misses(job)  # the last quantum's misses still pool
         if job.run is not None:
             try:
                 job.result = job.run.result()
@@ -373,7 +347,6 @@ class JobScheduler:
                     self.tenant_spent.get(job.spec.tenant, 0) + spent
                 )
             self._record_incumbent(job)
-            self._route_misses(job)
             if not progressed:
                 self._finalize(job, "done")
         except Exception as error:  # noqa: BLE001 - job failure must not kill the loop
@@ -386,68 +359,6 @@ class JobScheduler:
         while (max_quanta is None or granted < max_quanta) and self.tick():
             granted += 1
         return granted
-
-    # -- batched resynthesis routing ------------------------------------------
-
-    def _route_misses(self, job: ScheduledJob) -> None:
-        """Pool the quantum's resynthesis-cache misses into the batch queue.
-
-        Each resident job's front end logs the canonical keys it failed to
-        find; pooling them here turns many jobs' per-miss trickle into one
-        server-side batch synthesis call against the shared backend.  The
-        misses themselves were already resolved synchronously by the worker
-        that hit them (the scalar reference path), so routing is purely
-        store-warming/repair — a dispatch failure degrades to exactly the
-        unbatched behaviour and can never hang a job or drop its result.
-        """
-        cache = job._cache
-        if cache is None or not hasattr(cache, "drain_pooled_misses"):
-            return
-        backend = self._cache_backend
-        if backend is None or getattr(backend, "kind", "local") == "local":
-            # Same-process store: the workers' puts already landed, there is
-            # no remote store to warm — drop the log instead of queueing.
-            cache.drain_pooled_misses()
-            return
-        for key, canonical in cache.drain_pooled_misses():
-            if key not in self._batch_queue:
-                self._batch_queue[key] = (canonical, job._batch_spec)
-        if len(self._batch_queue) >= min(self.batch_dispatch_min, BATCH_QUEUE_LIMIT):
-            self._dispatch_batch_queue(cache)
-
-    def _dispatch_batch_queue(self, front_end) -> None:
-        """Flush the queue: one ``synth_batch`` per distinct resynthesizer spec.
-
-        Backends that support server-side batch synthesis get the whole
-        group in one job; otherwise (or on failure) the keys are prefetched
-        through ``front_end`` so entries other jobs stored still reach this
-        job's L1.  Failures count in ``batch_failures`` and note once.
-        """
-        queue, self._batch_queue = self._batch_queue, {}
-        backend = self._cache_backend
-        if backend is None or not queue:
-            return
-        groups: "dict[object, tuple[dict | None, list]]" = {}
-        for key, (canonical, spec) in queue.items():
-            group_key = tuple(sorted(spec.items())) if spec else None
-            group = groups.setdefault(group_key, (spec, []))
-            group[1].append((key, canonical))
-        for spec, items in groups.values():
-            if spec is not None and getattr(backend, "supports_batch_synthesis", False):
-                try:
-                    backend.synth_batch(spec, items)
-                    self.batch_jobs += 1
-                    continue
-                except Exception as error:  # noqa: BLE001 - degrade, never kill the loop
-                    self.batch_failures += 1
-                    if not self._batch_failure_noted:
-                        self._batch_failure_noted = True
-                        self.notes.append(
-                            f"server-side batch synthesis failed ({error!r}); "
-                            "degrading to prefetch-only miss routing"
-                        )
-            if front_end is not None and hasattr(front_end, "prefetch_keys"):
-                front_end.prefetch_keys([key for key, _ in items])
 
     # -- cancellation and offload ---------------------------------------------
 
@@ -513,9 +424,6 @@ class JobScheduler:
             "jobs": len(self.jobs),
             "states": counts,
             "quanta": sum(job.quanta for job in self.jobs.values()),
-            "batch_jobs": self.batch_jobs,
-            "batch_failures": self.batch_failures,
-            "batch_queue": len(self._batch_queue),
             "tenant_spent": dict(self.tenant_spent),
             "cache": self._cache_spec.canonical if self._cache_spec else None,
             "notes": list(self.notes),
@@ -539,8 +447,6 @@ class JobScheduler:
         for job in self.jobs.values():
             if not job.terminal and job.state != "offloaded":
                 self._finalize(job, "cancelled" if job.run is None else "done")
-        if self._batch_queue:
-            self._dispatch_batch_queue(None)  # flush the sub-threshold tail
         self._closed = True
         if self._cache_backend is not None:
             try:
@@ -549,4 +455,4 @@ class JobScheduler:
                 self._cache_backend = None
 
 
-__all__ = ["BATCH_QUEUE_LIMIT", "DEADLINE_HORIZON", "JobScheduler", "ScheduledJob"]
+__all__ = ["DEADLINE_HORIZON", "JobScheduler", "ScheduledJob"]

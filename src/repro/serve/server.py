@@ -1,9 +1,9 @@
 """The optimization job server: one listener, one scheduler, many tenants.
 
-:class:`JobServer` binds an ``AF_INET``
-``multiprocessing.connection.Listener`` (the repo's one RPC transport —
-length-prefixed pickle frames, HMAC authkey handshake, exactly like the
-distrib coordinator and the cache servers) and answers the
+:class:`JobServer` listens on an ``AF_INET`` :mod:`repro.rpc` server (the
+package's one transport — length-prefixed pickle frames, HMAC authkey
+handshake, exactly like the distrib coordinator and the cache servers) and
+answers the
 :mod:`repro.serve.protocol` ops.  A dedicated scheduler thread drives
 :meth:`~repro.serve.scheduler.JobScheduler.tick` — one
 ``PortfolioRun.step_round`` quantum per tick, granted to the live job with
@@ -32,11 +32,11 @@ a job runs never changes what it returns.
 
 from __future__ import annotations
 
-import socket
 import threading
 import time
 from dataclasses import dataclass, replace
 
+from repro import rpc
 from repro.serve.protocol import JobSpec, serve_authkey
 from repro.serve.scheduler import JobScheduler
 
@@ -101,7 +101,7 @@ class JobServer:
         self.requests_failed = 0
         self.offload_batches = 0
         self._offload_inflight = False
-        self._listener = None
+        self._rpc: "rpc.Server | None" = None
         self._address: "tuple[str, int] | None" = None
         self._stop = threading.Event()
         self._threads: "list[threading.Thread]" = []
@@ -117,23 +117,15 @@ class JobServer:
 
     def start(self) -> "tuple[str, int]":
         """Bind, spawn the accept and scheduler threads; returns the address."""
-        from multiprocessing.connection import Listener
-
         if self._started:
             raise RuntimeError("server already started")
         self._started = True
-        self._listener = Listener((self.host, self.port), authkey=self.authkey)
-        self._address = (
-            str(self._listener.address[0]),
-            int(self._listener.address[1]),
-        )
-        for target, name in (
-            (self._accept_loop, "serve-accept"),
-            (self._scheduler_loop, "serve-scheduler"),
-        ):
-            thread = threading.Thread(target=target, daemon=True, name=name)
-            thread.start()
-            self._threads.append(thread)
+        self._rpc = rpc.Server((self.host, self.port), self.authkey, handle=self._answer)
+        host, port = self._rpc.start()
+        self._address = (str(host), int(port))
+        thread = threading.Thread(target=self._scheduler_loop, daemon=True, name="serve-scheduler")
+        thread.start()
+        self._threads.append(thread)
         return self._address
 
     def __enter__(self) -> "JobServer":
@@ -148,21 +140,8 @@ class JobServer:
         if self._stop.is_set():
             return
         self._stop.set()
-        if self._listener is not None:
-            # The accept loop blocks in accept(); a throwaway connection
-            # unblocks it so it can observe the stop flag (the same trick
-            # the distrib coordinator uses).  A raw timed connect — not a
-            # full authenticated Client — because if the accept thread has
-            # already exited on its own, a Client dial would sit in the
-            # listen backlog waiting forever for a challenge nobody sends.
-            try:
-                socket.create_connection(self.address, timeout=2.0).close()
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        if self._rpc is not None:
+            self._rpc.stop()
         for thread in self._threads:
             thread.join(timeout=30.0)
         with self.lock:
@@ -205,12 +184,12 @@ class JobServer:
     def _offload_cache_spec(self) -> "str | None":
         """The cache spec offloaded jobs can reach — network specs only.
 
-        A ``tcp://`` store is addressable from worker hosts; ``local:``/
-        ``shm:``/``server:`` backends live inside this server process, so
-        offloaded jobs run with private caches rather than pretending.
+        A ``tcp://`` store is addressable from worker hosts; ``local:`` and
+        ``server:`` stores belong to this server process, so offloaded jobs
+        run with private caches rather than pretending.
         """
         spec = self.scheduler._cache_spec
-        if spec is not None and spec.kind == "tcp":
+        if spec is not None and spec.servers:
             return spec.canonical
         return None
 
@@ -316,56 +295,21 @@ class JobServer:
 
     # -- connection handling ---------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                connection = self._listener.accept()
-            except (OSError, EOFError):
-                if self._stop.is_set():
-                    return
-                continue  # failed handshake must not kill the server
-            except Exception:
-                continue
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(connection,),
-                daemon=True,
-                name="serve-conn",
-            )
-            thread.start()
-
-    def _serve_connection(self, connection) -> None:
+    def _answer(self, op, payload):
+        """Answer one request: ``(True, result)`` or ``(False, message)``."""
+        with self._counters:
+            self.requests_received += 1
         try:
-            while not self._stop.is_set():
-                try:
-                    request = connection.recv()
-                except (EOFError, OSError, ConnectionError):
-                    return
-                with self._counters:
-                    self.requests_received += 1
-                try:
-                    op, payload = request
-                    result = self._dispatch(str(op), payload)
-                except Exception as error:  # noqa: BLE001 - always answer
-                    with self._counters:
-                        self.requests_failed += 1
-                    reply = (False, f"{type(error).__name__}: {error}")
-                else:
-                    with self._counters:
-                        self.requests_served += 1
-                    reply = (True, result)
-                try:
-                    connection.send(reply)
-                except (OSError, ConnectionError, ValueError):
-                    return
-                if request and request[0] == "shutdown":
-                    threading.Thread(target=self.stop, daemon=True).start()
-                    return
-        finally:
-            try:
-                connection.close()
-            except OSError:
-                pass
+            result = self._dispatch(str(op), payload)
+        except Exception as error:  # noqa: BLE001 - always answer
+            with self._counters:
+                self.requests_failed += 1
+            return False, f"{type(error).__name__}: {error}"
+        with self._counters:
+            self.requests_served += 1
+        if op == "shutdown":
+            threading.Thread(target=self.stop, daemon=True).start()
+        return True, result
 
     def _dispatch(self, op: str, payload):
         if op == "ping":

@@ -29,7 +29,7 @@ same cache entries and counters, same rng stream.  The load-bearing rules
   all behave exactly as in the scalar loop.
 
 ``offload="auto"`` additionally ships the certain-miss batch to a cache
-backend that supports server-side batch synthesis (``server``/``tcp``), so
+backend that supports server-side batch synthesis (``tcp``, including ``server:``), so
 one vectorized pass on the server serves many workers' misses.  Offloaded
 synthesis uses the *server's* rng, which breaks bit-identity with the local
 scalar loop — that is why it is opt-in and defaults to ``"never"``.  Every

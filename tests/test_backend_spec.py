@@ -1,10 +1,10 @@
 """Tests for the unified cache/backend spec API (``parse_backend_spec``).
 
-The redesign's contract: every cache-configuration surface speaks one
-grammar, every legacy spelling resolves to the same backend as its new URL
-form (with a ``DeprecationWarning`` only on user-facing arguments), and
-malformed specs — including ``store`` on backends that own no disk store —
-fail up front with an error naming the offending spec string.
+The contract: every cache-configuration surface speaks one grammar,
+``shm:`` and ``server:`` are aliases of one spec (a ``tcp`` spec with no
+addresses), and everything else — ``True``, bare kind names, malformed
+specs, ``store`` on a client of network servers — fails up front with an
+error naming the offending spec string and the grammar.
 """
 
 import warnings
@@ -16,13 +16,11 @@ from repro.perf.shared_cache import SPEC_QUERY_KEYS
 
 
 class TestGrammar:
-    def test_bare_kinds_and_url_forms_are_equivalent(self):
-        for kind in ("local", "shm", "server"):
-            assert parse_backend_spec(kind) == parse_backend_spec(f"{kind}:")
-            assert parse_backend_spec(f"{kind}:").kind == kind
-
-    def test_true_means_local(self):
-        assert parse_backend_spec(True) == parse_backend_spec("local:")
+    def test_shm_and_server_alias_one_tcp_spec(self):
+        assert parse_backend_spec("shm:") == parse_backend_spec("server:")
+        spec = parse_backend_spec("shm:?maxsize=8")
+        assert spec.kind == "tcp" and spec.servers == ()
+        assert spec.canonical == "server:?maxsize=8"
 
     def test_backend_spec_passes_through(self):
         spec = parse_backend_spec("shm:")
@@ -45,7 +43,7 @@ class TestGrammar:
     def test_canonical_round_trips(self):
         for text in (
             "local:",
-            "shm:?maxsize=16&stripes=2",
+            "shm:?maxsize=16&match_epsilon=1e-06",
             "server:?store=/tmp/x.pkl",
             "tcp://h:9?maxsize=8",
         ):
@@ -53,9 +51,9 @@ class TestGrammar:
             assert parse_backend_spec(spec.canonical) == spec
 
     def test_source_is_kept_but_excluded_from_equality(self):
-        legacy, url = parse_backend_spec("shm"), parse_backend_spec("shm:")
-        assert legacy == url
-        assert legacy.source == "shm" and url.source == "shm:"
+        alias, canonical = parse_backend_spec("shm:"), parse_backend_spec("server:")
+        assert alias == canonical
+        assert alias.source == "shm:" and canonical.source == "server:"
 
     @pytest.mark.parametrize(
         "bad",
@@ -66,6 +64,7 @@ class TestGrammar:
             "local:extra",  # junk between kind and query
             "local:?unknown_key=1",
             "shm:?maxsize=notanumber",
+            "server:?stripes=2",  # stripes left the grammar with the shm backend
         ],
     )
     def test_malformed_specs_raise_naming_the_spec(self, bad):
@@ -81,7 +80,6 @@ class TestGrammar:
             "store",
             "flush_every",
             "maxsize",
-            "stripes",
             "match_epsilon",
         }
 
@@ -89,31 +87,31 @@ class TestGrammar:
 class TestStorePathValidation:
     """Satellite bugfix: store on a storeless backend dies up front, by name."""
 
-    def test_shm_spec_with_store_raises_naming_spec(self):
-        with pytest.raises(ValueError, match=r"store_path.*shm:\?store=/tmp/x"):
-            parse_backend_spec("shm:?store=/tmp/x")
+    def test_shm_alias_accepts_store_like_server(self):
+        spec = parse_backend_spec("shm:?store=/tmp/x")
+        assert spec == parse_backend_spec("server:?store=/tmp/x")
+        assert spec.store_path == "/tmp/x"
 
     def test_tcp_spec_with_store_points_at_the_server_flag(self):
         with pytest.raises(ValueError, match="store_path.*cache server"):
             parse_backend_spec("tcp://h:1?store=/tmp/x")
 
     def test_create_backend_validates_before_materializing(self, tmp_path):
-        # The old behavior materialized the manager first and failed late;
-        # now the spec is rejected before any machinery is touched.
+        # Rejected before any server is dialed (port 1 would refuse).
         with pytest.raises(ValueError, match="store_path"):
-            create_backend("shm", store_path=str(tmp_path / "c.pkl"))
+            create_backend("tcp://127.0.0.1:1", store_path=str(tmp_path / "c.pkl"))
 
 
 class TestDeprecationShims:
-    def test_bare_kind_warns_only_with_a_named_parameter(self):
-        with pytest.deprecated_call(match="share_resynthesis_cache='shm'"):
-            parse_backend_spec("shm", parameter="share_resynthesis_cache")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # internal plumbing stays silent
-            parse_backend_spec("shm")
+    """The deprecated spellings are gone: they fail naming the grammar."""
 
-    def test_true_warns_with_a_named_parameter(self):
-        with pytest.deprecated_call(match="'local:'"):
+    @pytest.mark.parametrize("kind", ["local", "shm", "server"])
+    def test_bare_kinds_are_rejected_naming_the_grammar(self, kind):
+        with pytest.raises(ValueError, match=r"share_resynthesis_cache=.*expected local:"):
+            parse_backend_spec(kind, parameter="share_resynthesis_cache")
+
+    def test_true_is_rejected_naming_the_grammar(self):
+        with pytest.raises(TypeError, match=r"resynthesis_cache=True.*expected local:"):
             parse_backend_spec(True, parameter="resynthesis_cache")
 
     def test_url_forms_never_warn(self):
@@ -127,7 +125,7 @@ class TestSpecRouting:
     """Every surface resolves a given spelling to the same backend."""
 
     def test_create_backend_accepts_spec_strings_and_objects(self):
-        for spelling in ("local", "local:", parse_backend_spec("local:")):
+        for spelling in ("local:", parse_backend_spec("local:")):
             backend = create_backend(spelling, maxsize=17)
             assert backend.kind == "local"
 
@@ -140,15 +138,9 @@ class TestSpecRouting:
         assert cache.backend.kind == "local"
 
     def test_legacy_and_url_spellings_build_equal_specs(self):
-        surfaces = {
-            "local": "local:",
-            "shm": "shm:",
-            "server": "server:",
-        }
-        for legacy, url in surfaces.items():
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                assert parse_backend_spec(legacy, parameter="x") == parse_backend_spec(url)
+        # shm: is the legacy spelling of the driver-owned server spec.
+        assert parse_backend_spec("shm:", parameter="x") == parse_backend_spec("server:")
+        assert parse_backend_spec("shm:?maxsize=3") == parse_backend_spec("server:?maxsize=3")
 
     def test_spec_is_picklable_for_job_records(self):
         import pickle

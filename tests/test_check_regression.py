@@ -11,6 +11,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
     "check_regression", REPO_ROOT / "benchmarks" / "check_regression.py"
@@ -86,3 +88,39 @@ class TestWarnAndSkip:
         )
         capsys.readouterr()
         assert rc == 1
+
+
+class TestSmokeComparisons:
+    """The smoke benches' wall-clock comparisons are gated from extra_info."""
+
+    def _check(self, tmp_path, extra):
+        bench = write_bench(tmp_path / "bench.json", [("smoke_case", 1.0, extra)])
+        baseline = write_baseline(tmp_path / "base.json", {"smoke_case": 1.0})
+        return check_regression.check(bench, baseline, 0.25, require_cache_hits=False)
+
+    def test_recorded_wins_pass(self, tmp_path, capsys):
+        extra = {
+            "iterations_per_sec_cached": 300.0,
+            "iterations_per_sec_uncached": 100.0,
+            "wall_shared": 1.3,
+            "wall_private": 1.0,  # within the 1.35x slack
+        }
+        assert self._check(tmp_path, extra) == 0
+        assert "wall_shared <= 1.35 x wall_private" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"iterations_per_sec_cached": 90.0, "iterations_per_sec_uncached": 100.0},
+            {"iterations_per_sec_memoized": 100.0, "iterations_per_sec_plain": 100.0},
+            {"wall_shared": 1.4, "wall_private": 1.0},
+            {"wall_batched": 2.0, "wall_scalar": 1.0},
+        ],
+    )
+    def test_lost_comparison_fails(self, tmp_path, capsys, extra):
+        assert self._check(tmp_path, extra) == 1
+        assert "SLOWER" in capsys.readouterr().out
+
+    def test_benches_without_the_keys_are_not_compared(self, tmp_path, capsys):
+        assert self._check(tmp_path, {"wall_shared": 9.0}) == 0
+        assert "SLOWER" not in capsys.readouterr().out

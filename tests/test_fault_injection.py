@@ -37,8 +37,8 @@ from repro.gatesets import CLIFFORD_T
 from repro.parallel import PortfolioConfig, PortfolioOptimizer
 from repro.perf import LocalBackend, ResynthesisCache, TcpCacheBackend
 from repro.perf.report import PerfReport
-from repro.perf.shared_cache import _CONNECTIONS
 from repro.rewrite import rules_for_gate_set
+from repro.rpc import _CONNECTIONS
 from repro.suite.generators import random_clifford_t
 from repro.synthesis import CliffordTResynthesizer
 from repro.synthesis.resynth import ResynthesisOutcome
@@ -56,13 +56,13 @@ class FaultyBackend:
     """A shared-store stand-in that dies after ``fail_after`` operations.
 
     Wraps a real :class:`LocalBackend` but masquerades as a cross-process
-    backend (``kind="server"``), so the front end takes its shared-store
+    backend (``kind="tcp"``), so the front end takes its shared-store
     paths (L1, write buffer, remote-hit attribution) — and then sees the
     store vanish exactly the way a killed cache server process would: every
     round trip raises a connection-level error.
     """
 
-    kind = "server"
+    kind = "tcp"
     shared_across_processes = True
 
     def __init__(self, fail_after: int = 0) -> None:

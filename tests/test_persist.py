@@ -20,7 +20,7 @@ import pytest
 from repro.circuits import Circuit
 from repro.circuits.metrics import circuit_distance
 from repro.distrib import circuit_fingerprint, start_tcp_cache_server
-from repro.perf import ResynthesisCache, ServerBackend, TcpCacheBackend, create_backend
+from repro.perf import ResynthesisCache, TcpCacheBackend, create_backend
 from repro.perf.persist import (
     CORPUS_VERSION,
     MAGIC,
@@ -223,13 +223,13 @@ class TestBucketStorePersistence:
         replacement = Circuit(2).rzz(0.5, 0, 1)
         first = ResynthesisCache(
             shared=True,
-            backend=create_backend("local", maxsize=64, store_path=path),
+            backend=create_backend("local:", maxsize=64, store_path=path),
         )
         first.put(block.unitary(), ResynthesisOutcome(replacement, 0.0, 0.0))
         first.close()
         second = ResynthesisCache(
             shared=True,
-            backend=create_backend("local", maxsize=64, store_path=path),
+            backend=create_backend("local:", maxsize=64, store_path=path),
         )
         hit, outcome = second.get(block.unitary(), epsilon=EPS)
         assert hit, "a reopened local store must serve the previous run's entry"
@@ -237,9 +237,7 @@ class TestBucketStorePersistence:
         assert second.stats().verify_failures == 0
 
     def test_store_path_rejected_for_storeless_backends(self):
-        with pytest.raises(ValueError, match="store_path"):
-            create_backend("shm", store_path="/tmp/nope.bin")
-        with pytest.raises(ValueError, match="--store"):
+        with pytest.raises(ValueError, match="--cache 'local:\\?store=PATH'"):
             create_backend("tcp://127.0.0.1:1", store_path="/tmp/nope.bin")
 
 
@@ -247,12 +245,12 @@ class TestServerPersistence:
     def test_server_backend_restarts_warm(self, tmp_path):
         path = tmp_path / "store.bin"
         key, entry = _entry(0.1)
-        backend = ServerBackend.start(maxsize=64, store_path=path)
+        backend = create_backend(f"server:?store={path}&maxsize=64")
         try:
             backend.put_many([(key, entry)])
         finally:
             backend.close()  # clean shutdown snapshots
-        restarted = ServerBackend.start(maxsize=64, store_path=path)
+        restarted = create_backend(f"server:?store={path}&maxsize=64")
         try:
             found = restarted.get_many([key])
             assert key in found

@@ -10,6 +10,7 @@ distrib hosts returns exactly what the resident path would have.
 
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -431,118 +432,6 @@ class TestOffload:
             server.stop()
 
 
-class StubBatchBackend:
-    """In-process shared-store stand-in that accepts batch synthesis jobs."""
-
-    kind = "server"
-    shared_across_processes = True
-    supports_batch_synthesis = True
-
-    def __init__(self) -> None:
-        from repro.perf import LocalBackend
-
-        self.inner = LocalBackend(maxsize=256)
-        self.batch_jobs = []
-
-    def synth_batch(self, spec, items):
-        from repro.synthesis.batch import synthesize_missing_into_store
-
-        self.batch_jobs.append((spec, len(items)))
-        return synthesize_missing_into_store(self.inner, spec, items)
-
-    def get_many(self, keys):
-        return self.inner.get_many(keys)
-
-    def put_many(self, items):
-        self.inner.put_many(items)
-
-    def stats(self):
-        return self.inner.stats()
-
-    def clear(self):
-        self.inner.clear()
-
-    def close(self):
-        pass
-
-    def __len__(self):
-        return len(self.inner)
-
-
-class TestSchedulerBatchRouting:
-    """Resident jobs' cache misses pool into shared server-side batch jobs."""
-
-    def _scheduler(self) -> JobScheduler:
-        scheduler = JobScheduler(cache="local:")
-        # Swap the parsed backend for the batch-capable stub before any job
-        # opens; dispatch per tick so a short run still flushes the queue.
-        scheduler._cache_backend = StubBatchBackend()
-        scheduler.batch_dispatch_min = 1
-        return scheduler
-
-    def test_misses_are_routed_as_batch_jobs(self):
-        scheduler = self._scheduler()
-        job_id = scheduler.submit(
-            fast_spec(
-                include_resynthesis=True,
-                resynthesis_probability=0.6,
-                synthesis_time_budget=0.3,
-                max_iterations=40,
-                num_workers=1,
-            )
-        )
-        scheduler.run_until_idle(max_quanta=200)
-        assert scheduler.jobs[job_id].terminal
-        stats = scheduler.stats()
-        backend = scheduler._cache_backend
-        assert stats["batch_jobs"] >= 1
-        assert stats["batch_jobs"] == len(backend.batch_jobs)
-        assert stats["batch_failures"] == 0
-        # The captured spec names the job's Clifford+T resynthesizer, and
-        # every synthesized key landed in the shared store.
-        spec, count = backend.batch_jobs[0]
-        assert spec["kind"] == "clifford_t"
-        assert count >= 1
-        assert len(backend) >= 1
-        scheduler.close()
-
-    def test_batch_queue_flushes_on_close(self):
-        scheduler = self._scheduler()
-        scheduler.batch_dispatch_min = 10**6  # never flush mid-run
-        scheduler.submit(
-            fast_spec(
-                include_resynthesis=True,
-                resynthesis_probability=0.6,
-                synthesis_time_budget=0.3,
-                max_iterations=30,
-                num_workers=1,
-            )
-        )
-        scheduler.run_until_idle(max_quanta=200)
-        queued = scheduler.stats()["batch_queue"]
-        assert queued >= 1
-        scheduler.close()
-        assert scheduler.stats()["batch_queue"] == 0
-        assert scheduler.batch_jobs >= 1
-
-    def test_local_backends_skip_routing(self):
-        scheduler = JobScheduler(cache="local:")
-        scheduler.batch_dispatch_min = 1
-        scheduler.submit(
-            fast_spec(
-                include_resynthesis=True,
-                resynthesis_probability=0.6,
-                synthesis_time_budget=0.3,
-                max_iterations=30,
-                num_workers=1,
-            )
-        )
-        scheduler.run_until_idle(max_quanta=200)
-        stats = scheduler.stats()
-        assert stats["batch_jobs"] == 0 and stats["batch_queue"] == 0
-        scheduler.close()
-
-
 class TestSharedCacheAcrossTenants:
     def test_cross_tenant_reuse_counts_remote_hits(self):
         from repro.distrib import start_tcp_cache_server
@@ -551,21 +440,24 @@ class TestSharedCacheAcrossTenants:
         server = start_server(cache=f"tcp://{address[0]}:{address[1]}", max_resident=2)
         try:
             with JobClient(address=server.address) as client:
-                # Same circuit, different tenants: resynthesis keys overlap,
-                # so whoever synthesizes a block first feeds the other.
-                ids = [
-                    client.submit(
-                        fast_spec(
-                            seed=seed,
-                            tenant=f"tenant-{seed}",
-                            include_resynthesis=True,
-                            resynthesis_probability=0.4,
-                            synthesis_time_budget=0.3,
-                            exchange_interval=20,
-                        )
-                    )
-                    for seed in (1, 2)
-                ]
+                # Same circuit and seed, different tenants: the second job
+                # retraces the first one's resynthesis blocks.  It starts
+                # only after the first job's first quantum, whose puts the
+                # engine flushed at the quantum boundary, so its first
+                # lookups are guaranteed hits on the other tenant's entries.
+                spec = fast_spec(
+                    seed=1,
+                    include_resynthesis=True,
+                    resynthesis_probability=0.4,
+                    synthesis_time_budget=0.3,
+                    exchange_interval=20,
+                )
+                first = client.submit(replace(spec, tenant="tenant-a"))
+                deadline = time.monotonic() + 300.0
+                while client.status(first).quanta < 1:
+                    assert time.monotonic() < deadline, "first job never ran a quantum"
+                    time.sleep(0.02)
+                ids = [first, client.submit(replace(spec, tenant="tenant-b"))]
                 results = [client.result(jid, timeout=300.0) for jid in ids]
                 assert all(status.state == "done" for status, _ in results)
                 remote_hits = sum(

@@ -1,4 +1,4 @@
-"""Tests for the cross-process shared cache backends (``repro.perf.shared_cache``).
+"""Tests for the cross-process shared cache backend (``repro.perf.shared_cache``).
 
 Covers the seams the in-process cache tests cannot: a worker in one process
 hitting on an entry a worker in another process inserted, attaching to the
@@ -23,7 +23,7 @@ from repro.core import (
 )
 from repro.gatesets import CLIFFORD_T
 from repro.parallel import PortfolioConfig, PortfolioOptimizer
-from repro.perf import ResynthesisCache, ServerBackend, SharedCacheUnavailable, ShmBackend
+from repro.perf import ResynthesisCache, SharedCacheUnavailable, create_backend
 from repro.perf.shared_cache import _BucketStore, _Entry
 from repro.rewrite import rules_for_gate_set
 from repro.suite.generators import random_clifford_t
@@ -31,7 +31,7 @@ from repro.synthesis import CliffordTResynthesizer
 from repro.synthesis.resynth import ResynthesisOutcome
 
 EPS = 1e-6
-BACKEND_FIXTURES = ("shm", "server")
+BACKEND_FIXTURES = ("server:",)
 
 
 def cnot_conjugated_rz(control: int, target: int, angle: float = 0.5) -> Circuit:
@@ -77,7 +77,7 @@ class TestCrossProcessReuse:
             assert circuit_distance(block, outcome.circuit) < EPS
             stats = cache.stats()
             assert stats.remote_hits == 1, "a sibling's entry must count as a remote hit"
-            assert stats.backend == kind
+            assert stats.backend == "tcp"
         finally:
             cache.close()
 
@@ -154,7 +154,7 @@ class TestBackendSemantics:
     def test_local_backend_requires_shared_false_ok(self):
         # a non-local backend on a private cache is a configuration error
         backend = _BucketStore(maxsize=4)
-        backend.kind = "shm"  # masquerade: any non-local kind must be rejected
+        backend.kind = "tcp"  # masquerade: any non-local kind must be rejected
         with pytest.raises(ValueError):
             ResynthesisCache(shared=False, backend=backend)
 
@@ -162,23 +162,18 @@ class TestBackendSemantics:
     def test_eviction_bounds_shared_store(self, kind):
         cache = _shared_cache(kind, write_batch_size=1)
         try:
-            if kind == "shm":
-                cache.backend.maxsize = 4
             # the server's store bound is fixed at start time; re-create small
             for index in range(8):
                 circuit = Circuit(1).rz(0.1 + index, 0)
                 cache.put(circuit.unitary(), None)
             cache.flush()
-            if kind == "shm":
-                assert len(cache) <= 4
-            else:
-                assert len(cache) == 8  # default bound not yet exceeded
+            assert len(cache) == 8  # default bound not yet exceeded
         finally:
             cache.close()
 
     def test_server_eviction_respects_maxsize(self):
         try:
-            backend = ServerBackend.start(maxsize=4)
+            backend = create_backend("server:?maxsize=4")
         except SharedCacheUnavailable as error:  # pragma: no cover
             pytest.skip(f"server backend unavailable here: {error}")
         cache = ResynthesisCache(maxsize=4, shared=True, backend=backend, write_batch_size=1)
@@ -205,8 +200,8 @@ class TestBackendSemantics:
         finally:
             cache.close()
 
-    def test_shm_refresh_to_success_updates_negative_count(self):
-        cache = _shared_cache("shm", write_batch_size=1)
+    def test_refresh_to_success_updates_negative_count(self):
+        cache = _shared_cache("server:", write_batch_size=1)
         try:
             block = cnot_conjugated_rz(0, 1)
             cache.put(block.unitary(), None)
@@ -258,29 +253,13 @@ class TestBackendSemantics:
 
     def test_server_rejects_unknown_ops(self):
         try:
-            backend = ServerBackend.start(maxsize=8)
+            backend = create_backend("server:?maxsize=8")
         except SharedCacheUnavailable as error:  # pragma: no cover
             pytest.skip(f"server backend unavailable here: {error}")
         try:
             assert backend.ping()
             with pytest.raises(RuntimeError):
-                backend._request("no-such-op")
-        finally:
-            backend.close()
-
-    def test_shm_store_survives_torn_counter_updates(self):
-        try:
-            backend = ShmBackend(maxsize=16)
-        except Exception as error:  # pragma: no cover
-            pytest.skip(f"shm backend unavailable here: {error}")
-        try:
-            import numpy as np
-
-            entry = _Entry(canonical=np.eye(2, dtype=complex), outcome=None)
-            backend.put_many([(b"k1", entry), (b"k2", entry)])
-            assert len(backend) == 2
-            backend.clear()
-            assert len(backend) == 0
+                backend._request(0, "no-such-op")
         finally:
             backend.close()
 
@@ -328,7 +307,7 @@ class TestPortfolioIntegration:
             share_resynthesis_cache=kind,
         )
         result = optimizer.optimize(circuit)
-        assert result.shared_cache_backend == kind
+        assert result.shared_cache_backend == "tcp"
         assert result.perf is not None
         assert result.perf.cache_hits > 0
         assert result.perf.cache_remote_hits > 0, (
@@ -343,25 +322,25 @@ class TestPortfolioIntegration:
             _clifford_t_transformations(),
             TotalGateCount(),
             _portfolio_config(num_workers=2),
-            share_resynthesis_cache="server",
+            share_resynthesis_cache="server:",
         )
         server_processes_before = [
             process
             for process in multiprocessing.active_children()
-            if process.name == "resynth-cache-server"
+            if process.name == "repro-tcp-cache-server"
         ]
         result = optimizer.optimize(circuit)
-        assert result.shared_cache_backend == "server"
+        assert result.shared_cache_backend == "tcp"
         leftover = [
             process
             for process in multiprocessing.active_children()
-            if process.name == "resynth-cache-server"
+            if process.name == "repro-tcp-cache-server"
             and process not in server_processes_before
         ]
         assert not leftover, "the portfolio driver must shut its cache server down"
 
     def test_adopted_cache_stays_alive_after_portfolio_exit(self):
-        cache = _shared_cache("server")
+        cache = _shared_cache("server:")
         try:
             circuit = random_clifford_t(3, 20, seed=4)
             optimizer = PortfolioOptimizer(
@@ -392,7 +371,7 @@ class TestPortfolioIntegration:
             _clifford_t_transformations(),
             TotalGateCount(),
             _portfolio_config(num_workers=2, backend="serial"),
-            share_resynthesis_cache="shm",
+            share_resynthesis_cache="shm:",
         )
         result = optimizer.optimize(circuit)
         assert result.shared_cache_backend == "local"
@@ -407,11 +386,11 @@ class TestDowngradeReporting:
         assert any("downgraded to a private" in note for note in fork.notes)
 
     def test_pickled_shared_backend_cache_does_not_downgrade(self):
-        cache = _shared_cache("shm")
+        cache = _shared_cache("server:")
         try:
             fork = pickle.loads(pickle.dumps(cache))
             assert fork.notes == []
-            assert fork.backend.kind == "shm"
+            assert fork.backend.kind == "tcp"
         finally:
             cache.close()
 
@@ -423,7 +402,7 @@ class TestDowngradeReporting:
             _clifford_t_transformations(),
             TotalGateCount(),
             _portfolio_config(num_workers=2),
-            share_resynthesis_cache="local",
+            share_resynthesis_cache="local:",
         )
         result = optimizer.optimize(circuit)
         assert result.shared_cache_backend == "local"
@@ -591,30 +570,31 @@ class TestConnectionPoolLifecycle:
 
     def test_server_backend_close_is_idempotent(self):
         try:
-            backend = ServerBackend.start(maxsize=8)
+            backend = create_backend("server:?maxsize=8")
         except SharedCacheUnavailable as error:  # pragma: no cover
             pytest.skip(f"server backend unavailable here: {error}")
         assert backend.ping()
+        process = backend._process
         backend.close()
         backend.close()  # second close must be a no-op, not an error
-        assert not backend.alive
+        assert not process.is_alive()
 
     def test_close_drains_pooled_connection(self):
-        from repro.perf.shared_cache import _CONNECTIONS, _address_key
+        from repro.rpc import _CONNECTIONS, _pool_key
 
         try:
-            backend = ServerBackend.start(maxsize=8)
+            backend = create_backend("server:?maxsize=8")
         except SharedCacheUnavailable as error:  # pragma: no cover
             pytest.skip(f"server backend unavailable here: {error}")
         assert backend.ping()
-        pool_key = (_address_key(backend.address), backend.authkey)
+        pool_key = _pool_key(backend.servers[0], backend.authkey)
         assert pool_key in _CONNECTIONS
         backend.close()
         assert pool_key not in _CONNECTIONS
 
     def test_drain_connection_pool_closes_everything(self, tcp_servers):
         from repro.perf import TcpCacheBackend, drain_connection_pool
-        from repro.perf.shared_cache import _CONNECTIONS
+        from repro.rpc import _CONNECTIONS
 
         backend = TcpCacheBackend(tcp_servers)
         assert backend.ping()
@@ -647,7 +627,7 @@ class TestConnectionPoolLifecycle:
             process.join(timeout=10.0)
             # Same port, fresh (cold) server: the pooled socket is stale.
             restarted, _ = start_tcp_cache_server(port=address[1], maxsize=64)
-            stats = backend.stats()  # first attempt fails, redial succeeds
+            stats = backend.stats()  # the stale socket is redialed, not sent on
             assert stats["unreachable_servers"] == 0
             assert stats["entries"] == 0  # the restarted store is cold
         finally:
