@@ -71,6 +71,10 @@ class TestGrammar:
         with pytest.raises(ValueError, match="spec"):
             parse_backend_spec(bad)
 
+    def test_true_is_not_local_and_is_rejected_naming_the_grammar(self):
+        with pytest.raises(TypeError, match=r"got True; expected local:"):
+            parse_backend_spec(True)
+
     def test_non_string_rejected_with_type_error(self):
         with pytest.raises(TypeError):
             parse_backend_spec(123)
@@ -110,7 +114,7 @@ class TestDeprecationShims:
         with pytest.raises(ValueError, match=r"share_resynthesis_cache=.*expected local:"):
             parse_backend_spec(kind, parameter="share_resynthesis_cache")
 
-    def test_true_is_rejected_naming_the_grammar(self):
+    def test_true_is_rejected_naming_the_parameter(self):
         with pytest.raises(TypeError, match=r"resynthesis_cache=True.*expected local:"):
             parse_backend_spec(True, parameter="resynthesis_cache")
 
