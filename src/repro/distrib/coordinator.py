@@ -474,7 +474,6 @@ class Coordinator:
         timeout: "float | None" = None,
         max_shard_attempts: int = 5,
         steal: bool = True,
-        drain_pool: bool = True,
     ) -> None:
         # Fail before binding: a case name no host can resolve would fail
         # deterministically on every assignment (see the re-queue cap).
@@ -487,10 +486,6 @@ class Coordinator:
         self.timeout = timeout
         self.max_shard_attempts = max_shard_attempts
         self.steal = steal
-        # The connection pool is process-wide: a coordinator embedded in a
-        # process with *other* live pool users (the serve layer's offload —
-        # its clients share the pool) must not drain it under them.
-        self.drain_pool = drain_pool
         self._address: "tuple[str, int] | None" = None
         self._bound = threading.Event()
         self._thread: "threading.Thread | None" = None
@@ -519,8 +514,7 @@ class Coordinator:
         try:
             return self._serve()
         finally:
-            if self.drain_pool:
-                rpc.drain_connection_pool()
+            rpc.drain_connection_pool()
 
     def _serve(self) -> DistributedSuiteResult:
         state = _CoordinatorState(

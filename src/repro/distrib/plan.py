@@ -31,10 +31,9 @@ from dataclasses import dataclass, field, replace
 
 from repro.utils.rng import derive_seed
 
-#: suite kinds a job can draw cases from: the paper's assembled suites,
-#: no-argument generator functions from :mod:`repro.suite.generators`, or
-#: circuits shipped inline with the job (``repro.serve`` overflow offload)
-JOB_SUITES = ("nisq", "ftqc", "builtin", "inline")
+#: suite kinds a job can draw cases from: the paper's assembled suites or
+#: no-argument generator functions from :mod:`repro.suite.generators`
+JOB_SUITES = ("nisq", "ftqc", "builtin")
 
 
 @dataclass(frozen=True)
@@ -146,10 +145,7 @@ class DistributedJob:
     ``"builtin"`` treats each case name as a no-argument generator function
     in :mod:`repro.suite.generators` (e.g. ``repeated_blocks``) — the mode
     used to spread portfolio worker groups for a single circuit across
-    hosts.  ``"inline"`` carries the circuits *in the job itself* as
-    ``inline_circuits`` ``(name, circuit)`` pairs — the exception to the
-    rebuild-on-host rule, used by ``repro.serve`` to offload client-submitted
-    circuits (which no generator can rebuild) onto worker hosts.
+    hosts.
 
     ``share_resynthesis_cache`` is a ``tcp://host:port[,...]`` URL (or any
     backend kind the portfolio accepts); every host passes it straight to
@@ -188,19 +184,12 @@ class DistributedJob:
     #: exchange incumbents across hosts (replicas of one case adopt the
     #: global best mid-search; anchor replica 0 never adopts)
     cross_host_exchange: bool = False
-    #: ``(case name, circuit)`` pairs for ``suite="inline"`` jobs — the
-    #: circuits travel with the job instead of being rebuilt on the host
-    inline_circuits: "tuple[tuple[str, object], ...] | None" = None
     #: free-form labels recorded in results (cluster name, experiment id, ...)
     tags: "tuple[str, ...]" = field(default=())
 
     def __post_init__(self) -> None:
         if self.suite not in JOB_SUITES:
             raise ValueError(f"suite must be one of {JOB_SUITES}, got {self.suite!r}")
-        if self.suite == "inline" and not self.inline_circuits:
-            raise ValueError("an 'inline' job needs inline_circuits=(name, circuit) pairs")
-        if self.suite != "inline" and self.inline_circuits:
-            raise ValueError(f"inline_circuits only applies to 'inline' jobs, not {self.suite!r}")
         if self.num_workers < 1:
             raise ValueError("num_workers must be at least 1")
         if self.max_iterations is not None and self.max_iterations < 1:
@@ -223,8 +212,6 @@ def job_case_names(job: DistributedJob) -> "list[str]":
         return [case.name for case in nisq_suite(job.scale)]
     if job.suite == "ftqc":
         return [case.name for case in ftqc_suite(job.scale)]
-    if job.suite == "inline":
-        return [name for name, _ in job.inline_circuits or ()]
     raise ValueError(f"{job.suite!r} jobs have no intrinsic case list; pass case names")
 
 
@@ -243,9 +230,6 @@ def validate_job_cases(job: DistributedJob, case_names: "tuple[str, ...] | list[
             for name in case_names
             if not callable(getattr(suite_generators, name, None))
         ]
-    elif job.suite == "inline":
-        known = {name for name, _ in job.inline_circuits or ()}
-        unknown = [name for name in case_names if name not in known]
     else:
         known = set(job_case_names(job))
         unknown = [name for name in case_names if name not in known]

@@ -69,15 +69,7 @@ def build_cases(job: DistributedJob, names: "list[str]") -> "dict[str, object]":
 
     gate_set = get_gate_set(job.gate_set)
     circuits: "dict[str, object]" = {}
-    if job.suite == "inline":
-        # The one suite whose circuits travel with the job (client-submitted
-        # work has no generator to rebuild from).
-        inline = dict(job.inline_circuits or ())
-        for name in names:
-            if name not in inline:
-                raise ValueError(f"unknown inline case {name!r}")
-            circuits[name] = inline[name]
-    elif job.suite == "builtin":
+    if job.suite == "builtin":
         for name in names:
             generator = getattr(suite_generators, name, None)
             if generator is None or not callable(generator):
@@ -102,10 +94,9 @@ def case_optimizer(
 ) -> "object":
     """Build the :class:`~repro.parallel.PortfolioOptimizer` for one case.
 
-    The one construction path every execution mode goes through — host
-    agents (:func:`run_case`), the serve layer's resident jobs, and its
-    offloaded ones — so a given ``(job, seed)`` always yields an identical
-    optimizer and interchanging modes cannot perturb outcomes.
+    Host agents (:func:`run_case`) and the serve layer's resident jobs both
+    build their optimizer here, so a given ``(job, seed)`` always yields an
+    identical optimizer.
 
     ``share_resynthesis_cache`` overrides the job's cache field when the
     caller holds a live cache *instance* to adopt (the serve scheduler's
@@ -249,7 +240,6 @@ class HostAgent:
         poll_interval: float = 0.2,
         shard_delay: float = 0.0,
         case_delay: float = 0.0,
-        drain_pool: bool = True,
     ) -> None:
         self.address = (str(address[0]), int(address[1]))
         self.authkey = bytes(authkey) if authkey is not None else distrib_authkey()
@@ -263,12 +253,6 @@ class HostAgent:
         self.poll_interval = poll_interval
         self.shard_delay = shard_delay
         self.case_delay = case_delay
-        # The connection pool is process-wide.  A dedicated agent process
-        # drains it between runs so dead servers' sockets don't pile up; an
-        # agent running as a *thread* of a larger program (the serve layer's
-        # in-process offload) must not — the pool also carries its
-        # neighbours' live connections.
-        self.drain_pool = drain_pool
         #: why the coordinator told this agent to stop (None = normal exit)
         self.abort_reason: "str | None" = None
         #: cross-host incumbents this agent adopted (telemetry)
@@ -452,8 +436,7 @@ class HostAgent:
             channel.close()
             # A long-lived agent outlives many runs (and their tcp caches):
             # drop pooled sockets so dead servers don't accumulate fds.
-            if self.drain_pool:
-                rpc.drain_connection_pool()
+            rpc.drain_connection_pool()
         return completed
 
 
@@ -472,7 +455,6 @@ def run_host_agent(
     connect_timeout: float = 30.0,
     shard_delay: float = 0.0,
     case_delay: float = 0.0,
-    drain_pool: bool = True,
 ) -> int:
     """Module-level agent entry point (spawn-safe ``Process`` target)."""
     agent = HostAgent(
@@ -482,7 +464,6 @@ def run_host_agent(
         connect_timeout=connect_timeout,
         shard_delay=shard_delay,
         case_delay=case_delay,
-        drain_pool=drain_pool,
     )
     return agent.run()
 

@@ -16,18 +16,17 @@ cooperating parts:
 * the **scheduler** (:mod:`repro.serve.scheduler`) — weighted-fair
   quantum granting over step-wise :class:`~repro.parallel.PortfolioRun` s;
 * the **server** (:class:`JobServer`, ``python -m repro.serve.cli serve``)
-  — listener, handler threads, and overflow offload of whole jobs onto
-  :mod:`repro.distrib` worker hosts;
+  — listener, handler threads, and the scheduler thread;
 * the **client** (:class:`JobClient`) — submit / status / stream / cancel
   / reattach by job id from any process.
 
 All jobs share one resynthesis store (``cache="tcp://..."`` and friends —
 :func:`repro.perf.parse_backend_spec` grammar), so tenant A hitting a block
-tenant B already synthesized shows up as ``cache_remote_hits``.  Every job
-— resident, offloaded, or run directly through
-:func:`repro.parallel.optimize_circuit_portfolio` — is constructed by
-:func:`repro.distrib.case_optimizer`, so where a job runs never changes
-what it returns.  See ``docs/serving.md``.
+tenant B already synthesized shows up as ``cache_remote_hits``.  Every
+job's optimizer is built by :func:`repro.distrib.case_optimizer`.  Without
+a shared cache, serving iteration-bounded jobs matches sequential
+:func:`repro.parallel.optimize_circuit_portfolio` calls with the same seeds
+bit for bit; the serve tests pin this.  See ``docs/serving.md``.
 """
 
 # Exports resolve lazily so ``python -m repro.serve.cli`` does not
@@ -46,7 +45,6 @@ _EXPORT_MODULES = {
     "serve_authkey": "repro.serve.protocol",
     "JobScheduler": "repro.serve.scheduler",
     "JobServer": "repro.serve.server",
-    "OffloadConfig": "repro.serve.server",
 }
 
 
@@ -74,7 +72,6 @@ __all__ = [
     "JobServer",
     "JobSpec",
     "JobStatus",
-    "OffloadConfig",
     "SCHEDULER_POLICIES",
     "TERMINAL_STATES",
     "job_to_distributed",

@@ -26,7 +26,7 @@ import time
 
 from repro.serve.client import JobClient
 from repro.serve.protocol import SCHEDULER_POLICIES, JobSpec, serve_authkey
-from repro.serve.server import JobServer, OffloadConfig
+from repro.serve.server import JobServer
 
 _CACHE_SPEC_HELP = (
     "shared resynthesis cache backend spec, e.g. 'local:?store=PATH', 'server:', "
@@ -93,9 +93,6 @@ def _cmd_serve(args) -> int:
         if not tenant or not amount.isdigit():
             raise SystemExit(f"--tenant-budget must be TENANT=ITERATIONS, got {entry!r}")
         budgets[tenant] = int(amount)
-    offload = None
-    if args.offload_threshold is not None:
-        offload = OffloadConfig(threshold=args.offload_threshold, agents=args.offload_agents)
     server = JobServer(
         host=args.host,
         port=args.port,
@@ -104,7 +101,6 @@ def _cmd_serve(args) -> int:
         cache=args.cache,
         tenant_step_budgets=budgets or None,
         max_resident=args.max_resident,
-        offload=offload,
     )
     address = server.start()
     print(
@@ -307,19 +303,6 @@ def main(argv: "list[str] | None" = None) -> int:
         action="append",
         metavar="TENANT=ITERATIONS",
         help="total iteration allowance for one tenant (repeatable)",
-    )
-    serve.add_argument(
-        "--offload-threshold",
-        type=int,
-        default=None,
-        metavar="N",
-        help="spill whole jobs onto distrib hosts once N are queued beyond capacity",
-    )
-    serve.add_argument(
-        "--offload-agents",
-        type=int,
-        default=1,
-        help="in-process host agents per offload batch (0 = external workers attach)",
     )
     serve.set_defaults(run=_cmd_serve)
 

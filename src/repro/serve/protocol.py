@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 DEFAULT_SERVE_AUTHKEY = b"repro-serve"
 
 #: lifecycle states a job moves through (terminal: done/cancelled/failed)
-JOB_STATES = ("queued", "running", "offloaded", "done", "cancelled", "failed")
+JOB_STATES = ("queued", "running", "done", "cancelled", "failed")
 
 #: states from which a job can never move again
 TERMINAL_STATES = ("done", "cancelled", "failed")
@@ -61,14 +61,14 @@ def serve_authkey() -> bytes:
 class JobSpec:
     """Everything a client submits: one circuit plus its optimization knobs.
 
-    Defaults mirror :func:`repro.parallel.optimize_circuit_portfolio`, and
-    the execution path is the cluster's
-    (:func:`repro.distrib.worker.case_optimizer`), so a job submitted here
-    returns exactly what the same call made locally with the same ``seed``
-    would — scheduler interleaving never perturbs outcomes.  ``backend``
-    defaults to ``serial`` because a time-sliced server is already using the
-    machine's cores across jobs; raise ``num_workers``/``backend`` per job
-    only when the server is expected to dedicate cores to it.
+    Defaults mirror :func:`repro.parallel.optimize_circuit_portfolio`.
+    Without a shared cache, an iteration-bounded job submitted here returns
+    exactly what the same call made locally with the same ``seed`` would —
+    scheduler interleaving never perturbs outcomes (the serve tests pin this
+    bit for bit).  ``backend`` defaults to ``serial`` because a time-sliced
+    server is already using the machine's cores across jobs; raise
+    ``num_workers``/``backend`` per job only when the server is expected to
+    dedicate cores to it.
 
     ``tenant`` groups jobs for per-tenant step budgets, ``deadline`` is a
     *relative* deadline in seconds used by the ``deadline`` policy to weight
@@ -107,22 +107,18 @@ class JobSpec:
             raise ValueError("deadline must be positive (relative seconds) when set")
 
 
-def job_to_distributed(spec: JobSpec, job_id: str, cache_spec: "str | None" = None):
-    """The :class:`~repro.distrib.DistributedJob` equivalent of one job.
+def job_to_distributed(spec: JobSpec):
+    """The :class:`~repro.distrib.DistributedJob` a job's optimizer is built from.
 
-    ``suite="inline"`` carries the client's circuit in the job itself, so
-    the exact record a resident run is built from can be shipped whole onto
-    ``repro.distrib`` worker hosts when the server overflows.  ``lower`` is
-    off: the service optimizes the circuit the client sent, like
-    ``optimize_circuit_portfolio`` does.
+    :func:`repro.distrib.worker.case_optimizer` reads the portfolio knobs
+    off this record.  The record is never dispatched to a host, so its
+    suite fields are not consulted.
     """
     from repro.distrib.plan import DistributedJob
 
     return DistributedJob(
-        suite="inline",
         gate_set=spec.gate_set,
         objective=spec.objective,
-        lower=False,
         epsilon_budget=spec.epsilon_budget,
         time_limit=spec.time_limit,
         max_iterations=spec.max_iterations,
@@ -133,9 +129,6 @@ def job_to_distributed(spec: JobSpec, job_id: str, cache_spec: "str | None" = No
         include_resynthesis=spec.include_resynthesis,
         synthesis_time_budget=spec.synthesis_time_budget,
         resynthesis_probability=spec.resynthesis_probability,
-        share_resynthesis_cache=cache_spec,
-        inline_circuits=((job_id, spec.circuit),),
-        tags=spec.tags,
     )
 
 
@@ -173,8 +166,6 @@ class JobStatus:
     elapsed: float = 0.0
     #: number of incumbent improvements recorded so far (the stream's max seq)
     incumbents: int = 0
-    #: True when the job completed on distrib worker hosts instead of resident
-    offloaded: bool = False
     #: True when the job was finalized early because its tenant's step budget ran out
     budget_exhausted: bool = False
     #: error text for ``failed`` jobs

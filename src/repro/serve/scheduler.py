@@ -71,12 +71,9 @@ class ScheduledJob:
         self.run = None  # PortfolioRun once resident
         self.result = None  # final PortfolioResult once terminal
         self.incumbents: "list[IncumbentPoint]" = []
-        self.cancel_requested = False
-        self.offloaded = False
         self.budget_exhausted = False
         self.message: "str | None" = None
         self._cache = None  # this job's front end over the shared backend
-        self._iterations_charged = 0
 
     @property
     def terminal(self) -> bool:
@@ -117,7 +114,6 @@ class ScheduledJob:
             error_bound=error,
             elapsed=elapsed,
             incumbents=len(self.incumbents),
-            offloaded=self.offloaded,
             budget_exhausted=self.budget_exhausted,
             message=self.message,
         )
@@ -138,9 +134,9 @@ class JobScheduler:
     matters, as the CI smoke does.)
 
     ``max_resident`` bounds how many runs are open (engines built, executor
-    up) at once; excess jobs wait in ``queued`` — or are carried off whole
-    by the server's distrib offload.  ``tenant_step_budgets`` maps tenant
-    name to its total iteration allowance.
+    up) at once; excess jobs wait in ``queued`` until a slot frees.
+    ``tenant_step_budgets`` maps tenant name to its total iteration
+    allowance.
     """
 
     def __init__(
@@ -236,10 +232,10 @@ class JobScheduler:
         slots = self.max_resident - self._resident_count()
         runnable = []
         for job in sorted(self.jobs.values(), key=lambda j: j.index):
-            if job.terminal or job.state == "offloaded":
+            if job.terminal:
                 continue
             if job.run is None:
-                if job.cancel_requested or self._tenant_exhausted(job):
+                if self._tenant_exhausted(job):
                     runnable.append(job)  # needs a tick to finalize, not a slot
                 elif slots > 0:
                     runnable.append(job)
@@ -279,7 +275,7 @@ class JobScheduler:
 
         job._cache = self._job_cache()
         optimizer = case_optimizer(
-            job_to_distributed(job.spec, job.job_id),
+            job_to_distributed(job.spec),
             job.spec.seed,
             share_resynthesis_cache=job._cache,
         )
@@ -317,8 +313,8 @@ class JobScheduler:
     def tick(self) -> bool:
         """Grant one quantum to the minimum-vtime runnable job.
 
-        Returns False when no job could use a quantum (all terminal,
-        offloaded, or queued beyond capacity) — the server's cue to idle.
+        Returns False when no job could use a quantum (all terminal or
+        queued beyond capacity) — the server's cue to idle.
         """
         if self._closed:
             return False
@@ -326,9 +322,6 @@ class JobScheduler:
         if not runnable:
             return False
         job = min(runnable, key=lambda j: (j.vtime, j.index))
-        if job.cancel_requested:
-            self._finalize(job, "cancelled")
-            return True
         if self._tenant_exhausted(job):
             job.budget_exhausted = True
             self._finalize(job, "done")
@@ -341,7 +334,6 @@ class JobScheduler:
             job.quanta += 1
             job.vtime += 1.0 / job.weight
             spent = job.run.total_iterations - before
-            job._iterations_charged += spent
             if job.spec.tenant in self.tenant_step_budgets:
                 self.tenant_spent[job.spec.tenant] = (
                     self.tenant_spent.get(job.spec.tenant, 0) + spent
@@ -360,59 +352,17 @@ class JobScheduler:
             granted += 1
         return granted
 
-    # -- cancellation and offload ---------------------------------------------
+    # -- cancellation ---------------------------------------------------------
 
     def cancel(self, job_id: str) -> bool:
-        """Request cancellation; False if the job already reached a terminal state."""
+        """Cancel a job; False if it already reached a terminal state."""
         job = self._get(job_id)
         if job.terminal:
             return False
-        if job.state == "offloaded":
-            # The shard is already on a worker host; the result will be
-            # dropped at finalize time instead.
-            job.cancel_requested = True
-            return True
         # Finalize in place (the server serializes access): a queued job has
         # nothing to tear down, a running one keeps its anytime snapshot.
         self._finalize(job, "cancelled")
         return True
-
-    def overflow(self) -> "list[ScheduledJob]":
-        """Queued jobs that cannot become resident under ``max_resident``."""
-        waiting = [
-            job
-            for job in sorted(self.jobs.values(), key=lambda j: j.index)
-            if job.state == "queued" and not job.cancel_requested
-            and not self._tenant_exhausted(job)
-        ]
-        slots = max(0, self.max_resident - self._resident_count())
-        return waiting[slots:]
-
-    def take_for_offload(self, job_ids: "list[str]") -> "list[ScheduledJob]":
-        """Mark still-queued jobs as offloaded and hand their records over."""
-        taken = []
-        for job_id in job_ids:
-            job = self.jobs.get(job_id)
-            if job is not None and job.state == "queued" and not job.cancel_requested:
-                job.state = "offloaded"
-                job.offloaded = True
-                taken.append(job)
-        return taken
-
-    def finalize_offloaded(self, job_id: str, result, message: "str | None" = None) -> None:
-        """Land a result (or failure) for a job that ran on worker hosts."""
-        job = self._get(job_id)
-        if job.terminal:
-            return
-        if job.cancel_requested:
-            job.state = "cancelled"
-            return
-        if result is None:
-            job.state = "failed"
-            job.message = message or "offloaded shard failed"
-            return
-        job.result = result
-        job.state = "done"
 
     # -- accounting -----------------------------------------------------------
 
@@ -445,7 +395,7 @@ class JobScheduler:
         if self._closed:
             return
         for job in self.jobs.values():
-            if not job.terminal and job.state != "offloaded":
+            if not job.terminal:
                 self._finalize(job, "cancelled" if job.run is None else "done")
         self._closed = True
         if self._cache_backend is not None:

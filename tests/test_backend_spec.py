@@ -153,8 +153,7 @@ class TestSpecRouting:
         assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_spec_equality_ignores_source_in_job_grouping(self):
-        # DistributedJob grouping in the serve offload relies on specs (and
-        # their canonical strings) comparing equal across spellings.
+        # Specs (and their canonical strings) compare equal across spellings.
         assert (
             parse_backend_spec("local:?maxsize=3").canonical
             == BackendSpec(kind="local", maxsize=3).canonical
