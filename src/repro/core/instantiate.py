@@ -30,7 +30,6 @@ from repro.core.transformations import (
 from repro.gatesets.base import GateSet, get_gate_set
 from repro.noise.devices import device_for_gate_set
 from repro.perf.cache import ResynthesisCache
-from repro.perf.shared_cache import BackendSpec, parse_backend_spec
 from repro.rewrite.library import rules_for_gate_set
 from repro.synthesis.resynth import CliffordTResynthesizer, NumericalResynthesizer
 
@@ -43,8 +42,7 @@ def default_transformations(
     synthesis_time_budget: float = 2.0,
     max_block_qubits: int = 3,
     rng: "int | np.random.Generator | None" = None,
-    resynthesis_cache: "ResynthesisCache | BackendSpec | bool | str | None" = True,
-    cache_size: int = 512,
+    resynthesis_cache: "ResynthesisCache | bool | None" = True,
 ) -> list[Transformation]:
     """Build the default transformation set for a gate set.
 
@@ -54,18 +52,11 @@ def default_transformations(
 
     ``resynthesis_cache`` controls the hot-path memo of resynthesis outcomes
     (:class:`repro.perf.ResynthesisCache`): ``True`` (default) attaches a
-    fresh private cache of ``cache_size`` entries, ``False``/``None``
-    disables caching, an existing cache instance is attached as-is (e.g. a
-    ``shared=True`` cache reused across portfolio workers), and a backend
-    spec string (``"local:"``/``"server:"``/``"tcp://host:port"``, see
-    :func:`repro.perf.parse_backend_spec`) builds a fresh *shared* cache on
-    that backend.  With the spec form the caller still owns the lifecycle:
-    the built cache hangs off the resynthesis transformation
-    (``transformations[-1].resynthesizer.cache``) and a ``"server:"``
-    backend holds a live process until ``cache.close()`` — prefer passing a
-    cache instance you construct (or the portfolio's
-    ``share_resynthesis_cache``, which closes what it opens) when building
-    transformation sets in a loop.
+    fresh private cache, ``False``/``None`` disables caching, and an
+    existing cache instance is attached as-is (e.g. a ``shared=True`` cache
+    reused across portfolio workers).  To share a cache across workers on a
+    backend, pass the portfolio's ``share_resynthesis_cache`` instead: it
+    opens the backend and closes what it opened.
     """
     if isinstance(gate_set, str):
         gate_set = get_gate_set(gate_set)
@@ -91,12 +82,7 @@ def default_transformations(
                 rng=rng,
             )
         if resynthesis_cache is True:
-            # ``True`` here means "private cache", not a backend spec — it
-            # predates and is orthogonal to the spec grammar, so no warning.
-            resynthesis_cache = ResynthesisCache(maxsize=cache_size)
-        elif isinstance(resynthesis_cache, (str, BackendSpec)):
-            spec = parse_backend_spec(resynthesis_cache, parameter="resynthesis_cache")
-            resynthesis_cache = ResynthesisCache(maxsize=cache_size, shared=True, backend=spec)
+            resynthesis_cache = ResynthesisCache()
         # Explicit identity checks: an *empty* cache has len() == 0 and would
         # read as falsy, yet it must still be attached.
         if resynthesis_cache is not None and resynthesis_cache is not False:

@@ -36,11 +36,9 @@ _EXPORT_MODULES = {
     "Coordinator": "repro.distrib.coordinator",
     "CaseOutcome": "repro.distrib.merge",
     "DistributedSuiteResult": "repro.distrib.merge",
-    "ShardResult": "repro.distrib.merge",
     "circuit_fingerprint": "repro.distrib.merge",
     "merge_case_results": "repro.distrib.merge",
     "merge_portfolio_results": "repro.distrib.merge",
-    "merge_shard_results": "repro.distrib.merge",
     "result_fingerprint": "repro.distrib.merge",
     "CaseRun": "repro.distrib.plan",
     "DistributedJob": "repro.distrib.plan",
@@ -52,8 +50,6 @@ _EXPORT_MODULES = {
     "validate_job_cases": "repro.distrib.plan",
     "DEFAULT_DISTRIB_AUTHKEY": "repro.distrib.worker",
     "HostAgent": "repro.distrib.worker",
-    "case_optimizer": "repro.distrib.worker",
-    "execute_shard": "repro.distrib.worker",
     "run_host_agent": "repro.distrib.worker",
     "run_local": "repro.distrib.worker",
 }
@@ -85,15 +81,11 @@ __all__ = [
     "JOB_SUITES",
     "Shard",
     "ShardPlan",
-    "ShardResult",
-    "case_optimizer",
     "circuit_fingerprint",
-    "execute_shard",
     "job_case_names",
     "make_shard_plan",
     "merge_case_results",
     "merge_portfolio_results",
-    "merge_shard_results",
     "result_fingerprint",
     "run_host_agent",
     "run_local",

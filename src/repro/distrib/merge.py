@@ -1,10 +1,10 @@
 """Machine-count-agnostic merging of distributed portfolio results.
 
-The coordinator collects one :class:`ShardResult` per shard, in whatever
-order hosts happen to finish.  Merging normalizes that nondeterminism away:
+The coordinator collects one result per planned run, in whatever order
+hosts happen to finish.  Merging normalizes that nondeterminism away:
 
-* shard results are first re-ordered by the *plan* (shard index, then run
-  position), never by arrival;
+* run results are first re-ordered by the *plan* (case order, then replica
+  index), never by arrival;
 * replicas of one case are merged by **re-ranking under the portfolio
   objective** — exactly the semantics :class:`repro.parallel` uses across
   workers, lifted across machines.  Every replica's ``best_cost`` is already
@@ -27,22 +27,9 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.circuits.circuit import Circuit
-from repro.distrib.plan import CaseRun, ShardPlan
+from repro.distrib.plan import ShardPlan
 from repro.parallel.portfolio import PortfolioResult
 from repro.perf.report import PerfReport
-
-
-@dataclass
-class ShardResult:
-    """What one host reports back for one shard."""
-
-    shard_index: int
-    host: str
-    #: ``(run, result)`` pairs in the shard's run order
-    case_results: "list[tuple[CaseRun, PortfolioResult]]"
-    #: host-side instrumentation merged over the shard's runs
-    perf: "PerfReport | None" = None
-    elapsed: float = 0.0
 
 
 @dataclass
@@ -261,39 +248,11 @@ def merge_case_results(
     return outcomes
 
 
-def merge_shard_results(
-    plan: ShardPlan, shard_results: "dict[int, ShardResult]"
-) -> "list[CaseOutcome]":
-    """Assemble per-case outcomes from completed shards, in plan order.
-
-    The whole-shard form of :func:`merge_case_results`, used by the
-    single-host baseline (:func:`repro.distrib.worker.run_local`) and any
-    driver that still collects one :class:`ShardResult` per shard.  Raises
-    if any planned run is missing.
-    """
-    by_run: "dict[tuple[str, int], PortfolioResult]" = {}
-    for shard in plan.shards:
-        result = shard_results.get(shard.index)
-        if result is None:
-            raise ValueError(f"shard {shard.index} has no result")
-        reported = {(run.name, run.replica): res for run, res in result.case_results}
-        for run in shard.runs:
-            key = (run.name, run.replica)
-            if key not in reported:
-                raise ValueError(
-                    f"shard {shard.index} result is missing run {run.name}#r{run.replica}"
-                )
-            by_run[key] = reported[key]
-    return merge_case_results(plan, by_run)
-
-
 __all__ = [
     "CaseOutcome",
     "DistributedSuiteResult",
-    "ShardResult",
     "circuit_fingerprint",
     "merge_case_results",
     "merge_portfolio_results",
-    "merge_shard_results",
     "result_fingerprint",
 ]

@@ -27,7 +27,7 @@ more independent search trajectories, same merge semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.utils.rng import derive_seed
 
@@ -137,7 +137,9 @@ class DistributedJob:
     The job travels with each dispatched shard, so agents are stateless:
     point one at a coordinator and it can serve any run.  Circuits are
     *rebuilt on the host* from the suite generators (cheap, deterministic)
-    rather than shipped over the wire.
+    rather than shipped over the wire.  The portfolio fields are the
+    settings of :func:`repro.parallel.build_portfolio`, which every host
+    builds each run's optimizer with.
 
     ``suite`` selects where cases come from: ``"nisq"``/``"ftqc"`` are the
     paper's assembled suites at ``scale`` (case names as listed by
@@ -184,8 +186,6 @@ class DistributedJob:
     #: exchange incumbents across hosts (replicas of one case adopt the
     #: global best mid-search; anchor replica 0 never adopts)
     cross_host_exchange: bool = False
-    #: free-form labels recorded in results (cluster name, experiment id, ...)
-    tags: "tuple[str, ...]" = field(default=())
 
     def __post_init__(self) -> None:
         if self.suite not in JOB_SUITES:

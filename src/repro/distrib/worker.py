@@ -21,9 +21,10 @@ runs the agent drains its pooled cache connections
 (:func:`repro.rpc.drain_connection_pool`) so a long-lived
 agent never leaks sockets across the many portfolio runs it hosts.
 
-The same execution path is exposed in-process as :func:`run_local`, which
-executes a whole plan on the calling machine — the single-host baseline a
-distributed run's merged fingerprint can be compared against.
+The same per-run execution path is exposed in-process as :func:`run_local`,
+which executes a whole plan on the calling machine and merges it like the
+coordinator does — the single-host baseline a distributed run's merged
+fingerprint can be compared against.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import time
 import traceback
 
 from repro import rpc
-from repro.distrib.merge import DistributedSuiteResult, ShardResult, merge_shard_results
-from repro.distrib.plan import CaseRun, DistributedJob, Shard, ShardPlan
+from repro.distrib.merge import DistributedSuiteResult, merge_case_results
+from repro.distrib.plan import CaseRun, DistributedJob, ShardPlan
 from repro.perf.report import PerfReport
 
 #: default authkey for coordinator<->agent connections; like the cache key,
@@ -87,122 +88,68 @@ def build_cases(job: DistributedJob, names: "list[str]") -> "dict[str, object]":
     return circuits
 
 
-def case_optimizer(
-    job: DistributedJob,
-    seed: "int | None",
-    share_resynthesis_cache: "object | None" = None,
-) -> "object":
-    """Build the :class:`~repro.parallel.PortfolioOptimizer` for one case.
+def _case_portfolio(job: DistributedJob, seed: "int | None"):
+    """One case's :class:`~repro.parallel.PortfolioOptimizer`: the job's
+    portfolio settings under the run's derived ``seed``."""
+    from repro.parallel.portfolio import build_portfolio
 
-    Host agents (:func:`run_case`) and the serve layer's resident jobs both
-    build their optimizer here, so a given ``(job, seed)`` always yields an
-    identical optimizer.
-
-    ``share_resynthesis_cache`` overrides the job's cache field when the
-    caller holds a live cache *instance* to adopt (the serve scheduler's
-    per-job front ends over one shared backend); ``None`` defers to the job.
-    """
-    from repro.core.guoq import GuoqConfig
-    from repro.core.instantiate import default_objective, default_transformations
-    from repro.gatesets.base import get_gate_set
-    from repro.parallel.portfolio import PortfolioConfig, PortfolioOptimizer
-    from repro.perf.cache import ResynthesisCache
-
-    if share_resynthesis_cache is None:
-        share_resynthesis_cache = job.share_resynthesis_cache
-    gate_set = get_gate_set(job.gate_set)
-    objective = default_objective(gate_set, job.objective)
-    transformations = default_transformations(
-        gate_set,
-        epsilon=job.epsilon_budget,
-        include_rewrites=job.include_rewrites,
-        include_resynthesis=job.include_resynthesis,
-        synthesis_time_budget=job.synthesis_time_budget,
-        rng=seed,
-        # When a shared cache is configured the portfolio attaches it
-        # itself; a second private cache here would only shadow it.
-        # Otherwise each case gets a private memo instance — deliberately
-        # *not* the "local:" shared spec, which would pierce the portfolio's
-        # per-worker deepcopy, couple sibling trajectories, and break
-        # backend-blind determinism.
-        resynthesis_cache=None if share_resynthesis_cache else ResynthesisCache(maxsize=512),
-    )
-    config = PortfolioConfig(
-        search=GuoqConfig(
-            epsilon_budget=job.epsilon_budget,
-            time_limit=job.time_limit,
-            max_iterations=job.max_iterations,
-            seed=seed,
-            resynthesis_probability=job.resynthesis_probability,
-        ),
+    return build_portfolio(
+        job.gate_set,
+        objective=job.objective,
+        epsilon_budget=job.epsilon_budget,
+        time_limit=job.time_limit,
+        max_iterations=job.max_iterations,
+        seed=seed,
         num_workers=job.num_workers,
         exchange_interval=job.exchange_interval,
         backend=job.backend,
-    )
-    return PortfolioOptimizer(
-        transformations,
-        cost=objective,
-        config=config,
-        share_resynthesis_cache=share_resynthesis_cache,
+        include_rewrites=job.include_rewrites,
+        include_resynthesis=job.include_resynthesis,
+        synthesis_time_budget=job.synthesis_time_budget,
+        resynthesis_probability=job.resynthesis_probability,
+        share_resynthesis_cache=job.share_resynthesis_cache,
     )
 
 
 def run_case(job: DistributedJob, run: CaseRun, circuit) -> "object":
     """Optimize one case exactly as any host in the cluster would.
 
-    Builds a fresh transformation set seeded from the run's derived seed and
-    drives a local portfolio; the result is deterministic in ``run.seed``
-    when iteration-bounded and no cross-host cache (or cross-host exchange)
+    Builds the run's portfolio through
+    :func:`repro.parallel.build_portfolio` (the builder behind
+    :func:`~repro.parallel.optimize_circuit_portfolio`) seeded from the
+    run's derived seed; the result is deterministic in ``run.seed`` when
+    iteration-bounded and no cross-host cache (or cross-host exchange)
     couples trajectories.
     """
-    return case_optimizer(job, run.seed).optimize(circuit)
-
-
-def execute_shard(job: DistributedJob, shard: Shard, host: str) -> ShardResult:
-    """Run every case in ``shard`` locally and package the shard report."""
-    started = time.monotonic()
-    circuits = build_cases(job, [run.name for run in shard.runs])
-    case_results = []
-    for run in shard.runs:
-        result = run_case(job, run, circuits[run.name])
-        case_results.append((run, result))
-    perf_reports = [result.perf for _, result in case_results if result.perf is not None]
-    elapsed = time.monotonic() - started
-    return ShardResult(
-        shard_index=shard.index,
-        host=host,
-        case_results=case_results,
-        perf=PerfReport.merged(perf_reports, elapsed=elapsed) if perf_reports else None,
-        elapsed=elapsed,
-    )
+    return _case_portfolio(job, run.seed).optimize(circuit)
 
 
 def run_local(job: DistributedJob, plan: ShardPlan, host: str = "local") -> DistributedSuiteResult:
     """Execute a whole plan on this machine — the single-host baseline.
 
-    Uses the identical per-run execution path as a cluster of agents, so
-    its merged result (and fingerprint) is what any multi-host run of the
-    same plan must reproduce (with exchange off — cross-host exchange
-    deliberately couples trajectories and has no single-host equivalent).
+    Runs every planned run through :func:`run_case` and merges the per-run
+    results with :func:`~repro.distrib.merge.merge_case_results`, exactly
+    as the coordinator merges what its agents report, so its fingerprint is
+    what any multi-host run of the same plan must reproduce (with exchange
+    off — cross-host exchange deliberately couples trajectories and has no
+    single-host equivalent).
     """
     started = time.monotonic()
-    shard_results = {
-        shard.index: execute_shard(job, shard, host=host) for shard in plan.shards
+    circuits = build_cases(job, list(plan.case_names))
+    by_run = {
+        (run.name, run.replica): run_case(job, run, circuits[run.name])
+        for shard in plan.shards
+        for run in shard.runs
     }
-    cases = merge_shard_results(plan, shard_results)
-    perf_reports = [sr.perf for sr in shard_results.values() if sr.perf is not None]
+    perf_reports = [result.perf for result in by_run.values() if result.perf is not None]
     elapsed = time.monotonic() - started
     return DistributedSuiteResult(
         plan=plan,
-        cases=cases,
+        cases=merge_case_results(plan, by_run),
         perf=PerfReport.merged(perf_reports, elapsed=elapsed) if perf_reports else None,
         hosts=[host],
         shard_hosts={shard.index: host for shard in plan.shards},
-        case_hosts={
-            (run.name, run.replica): host
-            for shard in plan.shards
-            for run in shard.runs
-        },
+        case_hosts=dict.fromkeys(by_run, host),
         elapsed=elapsed,
     )
 
@@ -311,7 +258,7 @@ class HostAgent:
             if self.case_delay:
                 time.sleep(self.case_delay)
             try:
-                portfolio_run = case_optimizer(job, run.seed).start(circuits[run.name])
+                portfolio_run = _case_portfolio(job, run.seed).start(circuits[run.name])
             except (_RunAborted, EOFError, OSError, ConnectionError):
                 raise
             except Exception as error:  # noqa: BLE001 - reported for re-queue

@@ -13,6 +13,7 @@ from repro.parallel.portfolio import (
     PortfolioOptimizer,
     PortfolioResult,
     PortfolioRun,
+    build_portfolio,
     optimize_circuit_portfolio,
 )
 from repro.parallel.variants import VariantSpec, assign_variants, default_variants
@@ -27,6 +28,7 @@ __all__ = [
     "RoundExecutor",
     "VariantSpec",
     "assign_variants",
+    "build_portfolio",
     "default_variants",
     "optimize_circuit_portfolio",
 ]

@@ -508,6 +508,77 @@ class PortfolioRun:
             self._teardown_cache()
 
 
+def build_portfolio(
+    gate_set,
+    objective="nisq",
+    epsilon_budget: float = 1e-6,
+    time_limit: float = 10.0,
+    max_iterations: "int | None" = None,
+    seed: "int | None" = None,
+    num_workers: int = 4,
+    exchange_interval: int = 250,
+    backend: str = "auto",
+    include_rewrites: bool = True,
+    include_resynthesis: bool = True,
+    synthesis_time_budget: float = 2.0,
+    resynthesis_probability: float = 0.015,
+    share_resynthesis_cache: "str | ResynthesisCache | None" = None,
+) -> PortfolioOptimizer:
+    """Turn portfolio settings into a :class:`PortfolioOptimizer`.
+
+    The one build path: :func:`optimize_circuit_portfolio`, the distrib host
+    agents (:func:`repro.distrib.worker.run_case`) and serve's resident jobs
+    all build here, so the same settings and ``seed`` yield the same
+    optimizer whichever layer runs it.  ``gate_set`` and ``objective`` take a
+    name or an instance; ``share_resynthesis_cache`` is a backend spec or a
+    live cache instance (see :class:`PortfolioOptimizer`).  Each worker gets
+    a private resynthesis cache unless a shared one is attached.
+    """
+    # Imported here: instantiate pulls in gatesets/noise, which the leaner
+    # portfolio/baseline imports of this module do not need.
+    from repro.core.instantiate import default_objective, default_transformations
+
+    if isinstance(objective, str):
+        objective = default_objective(gate_set, objective)
+    if share_resynthesis_cache == "local:" and backend in ("processes", "auto"):
+        import warnings
+
+        warnings.warn(
+            "share_resynthesis_cache='local:' only shares across in-process workers; "
+            f"the {backend!r} backend pickles per-worker copies, so cross-worker "
+            "reuse will not happen there (use share_resynthesis_cache='server:' "
+            "for cross-process sharing)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    transformations = default_transformations(
+        gate_set,
+        epsilon=epsilon_budget,
+        include_rewrites=include_rewrites,
+        include_resynthesis=include_resynthesis,
+        synthesis_time_budget=synthesis_time_budget,
+        rng=seed,
+    )
+    config = PortfolioConfig(
+        search=GuoqConfig(
+            epsilon_budget=epsilon_budget,
+            time_limit=time_limit,
+            max_iterations=max_iterations,
+            seed=seed,
+            resynthesis_probability=resynthesis_probability,
+        ),
+        num_workers=num_workers,
+        exchange_interval=exchange_interval,
+        backend=backend,
+    )
+    return PortfolioOptimizer(
+        transformations,
+        cost=objective,
+        config=config,
+        share_resynthesis_cache=share_resynthesis_cache,
+    )
+
+
 def optimize_circuit_portfolio(
     circuit: Circuit,
     gate_set,
@@ -541,49 +612,19 @@ def optimize_circuit_portfolio(
     each pickled worker forks a private copy instead (a warning is emitted
     and the downgrade lands in ``result.perf.notes``).
     """
-    # Imported here: instantiate pulls in gatesets/noise, which the leaner
-    # portfolio/baseline imports of this module do not need.
-    from repro.core.instantiate import default_objective, default_transformations
-    from repro.gatesets.base import get_gate_set
-
-    if isinstance(gate_set, str):
-        gate_set = get_gate_set(gate_set)
-    if isinstance(objective, str):
-        objective = default_objective(gate_set, objective)
-    if share_resynthesis_cache == "local:" and backend in ("processes", "auto"):
-        import warnings
-
-        warnings.warn(
-            "share_resynthesis_cache='local:' only shares across in-process workers; "
-            f"the {backend!r} backend pickles per-worker copies, so cross-worker "
-            "reuse will not happen there (use share_resynthesis_cache='server:' "
-            "for cross-process sharing)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    transformations = default_transformations(
+    return build_portfolio(
         gate_set,
-        epsilon=epsilon_budget,
-        include_rewrites=include_rewrites,
-        include_resynthesis=include_resynthesis,
-        synthesis_time_budget=synthesis_time_budget,
-        rng=seed,
-    )
-    config = PortfolioConfig(
-        search=GuoqConfig(
-            epsilon_budget=epsilon_budget,
-            time_limit=time_limit,
-            max_iterations=max_iterations,
-            seed=seed,
-        ),
+        objective=objective,
+        epsilon_budget=epsilon_budget,
+        time_limit=time_limit,
+        max_iterations=max_iterations,
+        seed=seed,
         num_workers=num_workers,
         exchange_interval=exchange_interval,
         backend=backend,
-    )
-    return PortfolioOptimizer(
-        transformations,
-        cost=objective,
-        config=config,
+        include_rewrites=include_rewrites,
+        include_resynthesis=include_resynthesis,
+        synthesis_time_budget=synthesis_time_budget,
         share_resynthesis_cache=share_resynthesis_cache,
     ).optimize(circuit)
 

@@ -452,6 +452,10 @@ DEFAULT_TCP_AUTHKEY = b"repro-cache"
 
 TCP_URL_PREFIX = "tcp://"
 
+#: virtual points per server on a :class:`TcpCacheBackend` hash ring; every
+#: client must use the same value to route a key to the same server
+HASH_REPLICAS = 64
+
 
 def tcp_cache_authkey() -> bytes:
     """The TCP cache authkey: ``REPRO_CACHE_AUTHKEY`` or the default."""
@@ -494,7 +498,7 @@ class TcpCacheBackend:
     driver-owned server spawned by the ``server:`` spec.
 
     Keys are sharded across servers on a consistent-hash ring
-    (``hash_replicas`` virtual points per server, SHA-1 positioned), so every
+    (:data:`HASH_REPLICAS` virtual points per server, SHA-1 positioned), so every
     client — on any host — routes a given canonical key to the same server
     without coordination, and adding a server to the URL list remaps only
     ``~1/N`` of the key space.  Batched ``get_many``/``put_many`` calls are
@@ -522,16 +526,12 @@ class TcpCacheBackend:
         self,
         servers: "list[tuple[str, int]]",
         authkey: "bytes | None" = None,
-        hash_replicas: int = 64,
         probe: bool = True,
     ) -> None:
         if not servers:
             raise ValueError("TcpCacheBackend needs at least one (host, port) server")
-        if hash_replicas < 1:
-            raise ValueError("hash_replicas must be at least 1")
         self.servers = [(str(host), int(port)) for host, port in servers]
         self.authkey = bytes(authkey) if authkey is not None else tcp_cache_authkey()
-        self.hash_replicas = hash_replicas
         self._process = None  # the server this handle owns (``server:`` spec only)
         self._closed = False
         self._dead: "set[int]" = set()
@@ -554,14 +554,14 @@ class TcpCacheBackend:
     # -- consistent hashing --------------------------------------------------
 
     def _build_ring(self) -> None:
-        """Place ``hash_replicas`` virtual points per server on the ring.
+        """Place :data:`HASH_REPLICAS` virtual points per server on the ring.
 
         Point positions depend only on the server address (not on list order
         or count), so every client everywhere computes the same ring.
         """
         points: "list[tuple[int, int]]" = []
         for index, (host, port) in enumerate(self.servers):
-            for replica in range(self.hash_replicas):
+            for replica in range(HASH_REPLICAS):
                 digest = hashlib.sha1(f"{host}:{port}#{replica}".encode()).digest()
                 points.append((int.from_bytes(digest[:8], "big"), index))
         points.sort()

@@ -23,10 +23,12 @@ cooperating parts:
 All jobs share one resynthesis store (``cache="tcp://..."`` and friends —
 :func:`repro.perf.parse_backend_spec` grammar), so tenant A hitting a block
 tenant B already synthesized shows up as ``cache_remote_hits``.  Every
-job's optimizer is built by :func:`repro.distrib.case_optimizer`.  Without
-a shared cache, serving iteration-bounded jobs matches sequential
-:func:`repro.parallel.optimize_circuit_portfolio` calls with the same seeds
-bit for bit; the serve tests pin this.  See ``docs/serving.md``.
+job's optimizer is built by :func:`repro.parallel.build_portfolio`, the
+builder behind :func:`repro.parallel.optimize_circuit_portfolio`; the
+serve layer runs on :mod:`repro.parallel` alone and never imports
+:mod:`repro.distrib`.  Without a shared cache, serving iteration-bounded
+jobs matches sequential ``optimize_circuit_portfolio`` calls with the same
+seeds bit for bit; the serve tests pin this.  See ``docs/serving.md``.
 """
 
 # Exports resolve lazily so ``python -m repro.serve.cli`` does not
@@ -41,7 +43,6 @@ _EXPORT_MODULES = {
     "JobStatus": "repro.serve.protocol",
     "SCHEDULER_POLICIES": "repro.serve.protocol",
     "TERMINAL_STATES": "repro.serve.protocol",
-    "job_to_distributed": "repro.serve.protocol",
     "serve_authkey": "repro.serve.protocol",
     "JobScheduler": "repro.serve.scheduler",
     "JobServer": "repro.serve.server",
@@ -74,6 +75,5 @@ __all__ = [
     "JobStatus",
     "SCHEDULER_POLICIES",
     "TERMINAL_STATES",
-    "job_to_distributed",
     "serve_authkey",
 ]

@@ -33,7 +33,7 @@ smoke gate assert *zero dropped requests*.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: default client<->server authkey; a handshake (multiprocessing HMAC), not
 #: a security boundary — override with ``REPRO_SERVE_AUTHKEY``
@@ -61,9 +61,12 @@ def serve_authkey() -> bytes:
 class JobSpec:
     """Everything a client submits: one circuit plus its optimization knobs.
 
-    Defaults mirror :func:`repro.parallel.optimize_circuit_portfolio`.
-    Without a shared cache, an iteration-bounded job submitted here returns
-    exactly what the same call made locally with the same ``seed`` would —
+    The portfolio fields are the settings of
+    :func:`repro.parallel.build_portfolio`, which builds every job's
+    optimizer — the builder behind
+    :func:`~repro.parallel.optimize_circuit_portfolio`.  Without a shared
+    cache, an iteration-bounded job submitted here returns exactly what
+    that call made locally with the same settings and ``seed`` would —
     scheduler interleaving never perturbs outcomes (the serve tests pin this
     bit for bit).  ``backend`` defaults to ``serial`` because a time-sliced
     server is already using the machine's cores across jobs; raise
@@ -94,7 +97,6 @@ class JobSpec:
     tenant: str = "default"
     deadline: "float | None" = None
     weight: float = 1.0
-    tags: "tuple[str, ...]" = field(default=())
 
     def __post_init__(self) -> None:
         if self.circuit is None:
@@ -105,31 +107,6 @@ class JobSpec:
             raise ValueError("weight must be positive")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be positive (relative seconds) when set")
-
-
-def job_to_distributed(spec: JobSpec):
-    """The :class:`~repro.distrib.DistributedJob` a job's optimizer is built from.
-
-    :func:`repro.distrib.worker.case_optimizer` reads the portfolio knobs
-    off this record.  The record is never dispatched to a host, so its
-    suite fields are not consulted.
-    """
-    from repro.distrib.plan import DistributedJob
-
-    return DistributedJob(
-        gate_set=spec.gate_set,
-        objective=spec.objective,
-        epsilon_budget=spec.epsilon_budget,
-        time_limit=spec.time_limit,
-        max_iterations=spec.max_iterations,
-        num_workers=spec.num_workers,
-        exchange_interval=spec.exchange_interval,
-        backend=spec.backend,
-        include_rewrites=spec.include_rewrites,
-        include_resynthesis=spec.include_resynthesis,
-        synthesis_time_budget=spec.synthesis_time_budget,
-        resynthesis_probability=spec.resynthesis_probability,
-    )
 
 
 @dataclass(frozen=True)
@@ -184,6 +161,5 @@ __all__ = [
     "JobStatus",
     "SCHEDULER_POLICIES",
     "TERMINAL_STATES",
-    "job_to_distributed",
     "serve_authkey",
 ]

@@ -48,7 +48,6 @@ from repro.serve.protocol import (
     IncumbentPoint,
     JobSpec,
     JobStatus,
-    job_to_distributed,
 )
 
 #: the deadline policy's urgency horizon in seconds: a job due in
@@ -271,15 +270,27 @@ class JobScheduler:
         return ResynthesisCache(shared=True, backend=self._cache_backend)
 
     def _open(self, job: ScheduledJob) -> None:
-        from repro.distrib.worker import case_optimizer
+        from repro.parallel.portfolio import build_portfolio
 
+        spec = job.spec
         job._cache = self._job_cache()
-        optimizer = case_optimizer(
-            job_to_distributed(job.spec),
-            job.spec.seed,
+        optimizer = build_portfolio(
+            spec.gate_set,
+            objective=spec.objective,
+            epsilon_budget=spec.epsilon_budget,
+            time_limit=spec.time_limit,
+            max_iterations=spec.max_iterations,
+            seed=spec.seed,
+            num_workers=spec.num_workers,
+            exchange_interval=spec.exchange_interval,
+            backend=spec.backend,
+            include_rewrites=spec.include_rewrites,
+            include_resynthesis=spec.include_resynthesis,
+            synthesis_time_budget=spec.synthesis_time_budget,
+            resynthesis_probability=spec.resynthesis_probability,
             share_resynthesis_cache=job._cache,
         )
-        job.run = optimizer.start(job.spec.circuit)
+        job.run = optimizer.start(spec.circuit)
         job.state = "running"
         self._record_incumbent(job)  # seq 1: the starting cost
 

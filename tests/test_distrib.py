@@ -18,16 +18,16 @@ import pytest
 from repro.distrib import (
     Coordinator,
     DistributedJob,
-    ShardResult,
     make_shard_plan,
+    merge_case_results,
     merge_portfolio_results,
-    merge_shard_results,
     result_fingerprint,
     run_host_agent,
     run_local,
     start_tcp_cache_server,
 )
-from repro.distrib.worker import build_cases, case_optimizer, distrib_authkey, execute_shard
+from repro.distrib.worker import build_cases, distrib_authkey, run_case
+from repro.parallel import build_portfolio, optimize_circuit_portfolio
 from repro.suite.suite import select_cases
 from repro.suite import ftqc_suite
 from repro.utils.linalg import hilbert_schmidt_distance
@@ -136,24 +136,25 @@ class TestMergeSemantics:
     def _replica_results(self, job=None, replicas=2):
         job = job or fast_job()
         plan = make_shard_plan(["ghz_5"], num_shards=replicas, root_seed=11, replicas=replicas)
-        shard_results = {
-            shard.index: execute_shard(job, shard, host="t") for shard in plan.shards
+        circuits = build_cases(job, list(plan.case_names))
+        by_run = {
+            (run.name, run.replica): run_case(job, run, circuits[run.name])
+            for shard in plan.shards
+            for run in shard.runs
         }
-        return plan, shard_results
+        return plan, by_run
 
     def test_merge_is_arrival_order_independent(self):
-        plan, shard_results = self._replica_results()
-        forward = merge_shard_results(plan, dict(sorted(shard_results.items())))
-        backward = merge_shard_results(
-            plan, dict(sorted(shard_results.items(), reverse=True))
-        )
+        plan, by_run = self._replica_results()
+        forward = merge_case_results(plan, dict(sorted(by_run.items())))
+        backward = merge_case_results(plan, dict(sorted(by_run.items(), reverse=True)))
         assert [result_fingerprint(case.merged) for case in forward] == [
             result_fingerprint(case.merged) for case in backward
         ]
 
     def test_merge_reranks_and_sums(self):
-        plan, shard_results = self._replica_results()
-        [case] = merge_shard_results(plan, shard_results)
+        plan, by_run = self._replica_results()
+        [case] = merge_case_results(plan, by_run)
         replicas = case.replicas
         merged = case.merged
         assert merged.best_cost == min(r.best_cost for r in replicas)
@@ -165,37 +166,60 @@ class TestMergeSemantics:
         assert merged.error_bound == replicas[winner].error_bound
 
     def test_merged_trace_is_running_minimum(self):
-        plan, shard_results = self._replica_results()
-        [case] = merge_shard_results(plan, shard_results)
+        plan, by_run = self._replica_results()
+        [case] = merge_case_results(plan, by_run)
         trace = case.merged.incumbent_trace
         assert trace == sorted(trace, reverse=True) or all(
             later <= earlier for earlier, later in zip(trace, trace[1:])
         )
 
     def test_tie_breaks_to_lowest_replica(self):
-        plan, shard_results = self._replica_results()
-        [case] = merge_shard_results(plan, shard_results)
+        plan, by_run = self._replica_results()
+        [case] = merge_case_results(plan, by_run)
         # ghz_5 rewrites-only: replicas plateau at the same cost, so the tie
         # rule is what decides — lowest replica index must win.
         if case.replicas[0].best_cost == case.replicas[1].best_cost:
             assert case.merged.best_worker == 0
 
     def test_missing_run_raises(self):
-        plan, shard_results = self._replica_results()
-        incomplete = dict(shard_results)
-        victim = incomplete[0]
-        incomplete[0] = ShardResult(
-            shard_index=0, host=victim.host, case_results=[], perf=None
-        )
-        with pytest.raises(ValueError, match="missing run"):
-            merge_shard_results(plan, incomplete)
-        del incomplete[0]
-        with pytest.raises(ValueError, match="no result"):
-            merge_shard_results(plan, incomplete)
+        plan, by_run = self._replica_results()
+        incomplete = dict(by_run)
+        del incomplete[("ghz_5", 0)]
+        with pytest.raises(ValueError, match=r"no result: ghz_5#r0$"):
+            merge_case_results(plan, incomplete)
+        with pytest.raises(ValueError, match=r"no result: ghz_5#r0, ghz_5#r1$"):
+            merge_case_results(plan, {})
 
     def test_merge_rejects_empty(self):
         with pytest.raises(ValueError):
             merge_portfolio_results([])
+
+
+class TestOneBuildPath:
+    """A host's run and a direct portfolio call build through one builder."""
+
+    def test_run_case_matches_optimize_circuit_portfolio(self):
+        # Iteration-bounded Clifford+T with resynthesis on: the synthesis
+        # path (and its private per-worker caches) is part of what must agree.
+        job = fast_job(include_resynthesis=True, max_iterations=40, exchange_interval=20)
+        [run] = make_shard_plan(["tof_4"], num_shards=1, root_seed=5).shards[0].runs
+        circuit = build_cases(job, [run.name])[run.name]
+        hosted = run_case(job, run, circuit)
+        direct = optimize_circuit_portfolio(
+            circuit,
+            job.gate_set,
+            objective=job.objective,
+            epsilon_budget=job.epsilon_budget,
+            time_limit=job.time_limit,
+            max_iterations=job.max_iterations,
+            seed=run.seed,
+            num_workers=job.num_workers,
+            exchange_interval=job.exchange_interval,
+            backend=job.backend,
+            synthesis_time_budget=job.synthesis_time_budget,
+        )
+        assert hosted.perf.phase_calls.get("resynthesis", 0) > 0
+        assert result_fingerprint(hosted) == result_fingerprint(direct)
 
 
 class TestBuildCases:
@@ -299,7 +323,7 @@ class TestCaseGranularFaultTolerance:
         assert op == "assign" and len(runs) == plan.num_runs
         first = runs[0]
         circuits = build_cases(wire_job, [first.name])
-        first_result = case_optimizer(wire_job, first.seed).optimize(circuits[first.name])
+        first_result = run_case(wire_job, first, circuits[first.name])
         connection.send(
             ("case-result", (assignment_id, (first.name, first.replica), first_result))
         )
@@ -425,9 +449,19 @@ class TestAdoptIncumbent:
     """Unit seam: the portfolio-side half of cross-host exchange."""
 
     def _run(self, seed=13):
-        job = fast_job()
-        circuit = build_cases(job, ["ghz_5"])["ghz_5"]
-        return case_optimizer(job, seed).start(circuit), circuit
+        circuit = build_cases(fast_job(), ["ghz_5"])["ghz_5"]
+        optimizer = build_portfolio(
+            "clifford+t",
+            objective="ftqc",
+            time_limit=1e9,
+            max_iterations=30,
+            seed=seed,
+            num_workers=2,
+            exchange_interval=15,
+            backend="serial",
+            include_resynthesis=False,
+        )
+        return optimizer.start(circuit), circuit
 
     def test_adopts_strict_improvement_and_carries_the_bound(self):
         from repro.circuits import Circuit
@@ -535,12 +569,14 @@ class TestDeterministicFailureGuards:
 class TestNoDeprecatedCacheSpellings:
     """Distrib and serve must not lean on legacy cache spellings.
 
-    ``case_optimizer`` historically passed ``resynthesis_cache=True`` — a
-    spelling :func:`repro.perf.parse_backend_spec` only still accepts with a
-    :class:`DeprecationWarning`.  These tests run the real distrib and serve
-    execution paths (resynthesis on, so the cache argument is actually
-    exercised) with ``DeprecationWarning`` promoted to an error, matching a
-    ``-W error::DeprecationWarning`` interpreter.
+    :func:`repro.perf.parse_backend_spec` rejects the retired spellings
+    (``True``, bare kind names) with a ``TypeError``/``ValueError`` naming
+    the grammar, so a path that still spelled one would fail outright.
+    These tests run the real distrib and serve execution paths (resynthesis
+    on, so the cache argument is actually exercised) with
+    ``DeprecationWarning`` promoted to an error, matching a
+    ``-W error::DeprecationWarning`` interpreter, so nothing on them may
+    warn either.
     """
 
     @pytest.fixture(autouse=True)
@@ -551,16 +587,14 @@ class TestNoDeprecatedCacheSpellings:
             warnings.simplefilter("error", DeprecationWarning)
             yield
 
-    def test_case_optimizer_and_run_local_are_warning_clean(self):
+    def test_run_local_is_warning_clean(self):
         job = fast_job(
             include_resynthesis=True,
             max_iterations=10,
             synthesis_time_budget=0.2,
         )
-        # Construction is where the cache argument is spelled out ...
-        optimizer = case_optimizer(job, seed=3)
-        assert optimizer is not None
-        # ... and a full local plan execution covers the whole distrib path.
+        # A full local plan execution builds every run's portfolio (where
+        # the cache argument is spelled out) and covers the distrib path.
         plan = make_shard_plan(["ghz_5"], num_shards=1, root_seed=3)
         result = run_local(job, plan)
         assert len(result.cases) == 1

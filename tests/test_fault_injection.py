@@ -32,7 +32,7 @@ from repro.distrib import (
     run_host_agent,
     start_tcp_cache_server,
 )
-from repro.distrib.worker import HostAgent, build_cases, case_optimizer, distrib_authkey
+from repro.distrib.worker import HostAgent, build_cases, distrib_authkey, run_case
 from repro.gatesets import CLIFFORD_T
 from repro.parallel import PortfolioConfig, PortfolioOptimizer
 from repro.perf import LocalBackend, ResynthesisCache, TcpCacheBackend
@@ -521,7 +521,7 @@ class TestExchangeAdoption:
         # Refusing the bait keeps the anchor bit-identical to a solo run of
         # the same seed — the cluster-level "one unperturbed trajectory".
         job = self._exchange_job()
-        solo = case_optimizer(job, run.seed).optimize(build_cases(job, ["ghz_5"])["ghz_5"])
+        solo = run_case(job, run, build_cases(job, ["ghz_5"])["ghz_5"])
         assert result_fingerprint(result) == result_fingerprint(solo)
 
 

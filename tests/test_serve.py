@@ -8,12 +8,17 @@ survives detach/reattach across connections, and jobs queued beyond
 ``max_resident`` become resident as slots free and run to completion.
 """
 
+import os
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.circuits import Circuit
 from repro.distrib import circuit_fingerprint
 from repro.parallel import optimize_circuit_portfolio
@@ -219,6 +224,41 @@ class TestFairShare:
             assert [scheduler.status(jid).state for jid in ids] == ["done"] * 3
         finally:
             scheduler.close()
+
+
+class TestServeStandsOnParallel:
+    """Serve builds jobs through ``repro.parallel`` alone."""
+
+    SCRIPT = """
+import sys
+from repro.circuits import Circuit
+from repro.serve import JobScheduler, JobSpec
+
+circuit = Circuit(2, name="pair")
+circuit.h(0).h(0).cx(0, 1).cx(0, 1).t(1)
+scheduler = JobScheduler()
+job_id = scheduler.submit(JobSpec(
+    circuit=circuit, seed=5, max_iterations=20, num_workers=1,
+    exchange_interval=10, synthesis_time_budget=0.2, time_limit=120.0,
+))
+scheduler.run_until_idle()
+assert scheduler.status(job_id).state == "done"
+scheduler.close()
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "distrib"]))
+"""
+
+    def test_running_a_job_imports_no_distrib_module(self):
+        # A fresh interpreter: this test process already imported distrib.
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        completed = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=env,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestServedOutcomeIdentity:
