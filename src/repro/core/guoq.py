@@ -56,6 +56,10 @@ class GuoqConfig:
     ``epsilon_budget`` (the hard constraint), temperature ``temperature = 10``
     (very small probability of accepting a worse candidate), and a resynthesis
     sampling probability of 1.5%.
+
+    There is no batching setting: like Algorithm 1, each iteration
+    resynthesizes the one block it sampled, and a step only flushes the
+    attached caches' buffered puts at its end.
     """
 
     epsilon_budget: float = 1e-6
@@ -72,18 +76,6 @@ class GuoqConfig:
     memoize_rewrites: bool = True
     #: collect per-phase timers and cache statistics into ``GuoqResult.perf``
     collect_perf: bool = True
-    #: gather each step quantum's resynthesis-cache miss set and dispatch it
-    #: as one batch at the step boundary (a batched prefetch of the missed
-    #: buckets — counter-neutral and trajectory-preserving, so seeded runs
-    #: are bit-identical with this on or off; see ``docs/batching.md``)
-    batch_resynthesis: bool = True
-    #: additionally ship the miss batch to a cache backend that supports
-    #: server-side batch synthesis (``tcp``, including ``server:``), so one
-    #: vectorized pass on the server fills entries many workers will hit.  Off by
-    #: default: remotely synthesized entries convert later misses into hits,
-    #: which changes the local rng trajectory (correct, but not bit-identical
-    #: to an offload-free run).
-    batch_offload_misses: bool = False
 
 
 @dataclass
@@ -181,7 +173,6 @@ class GuoqRun:
         # the memo survives the pickle round-trips of the process backend.
         self._nofire: set[str] = set()
         self._nofire_skips = 0
-        self._batch_dispatches = 0
         self._phase_seconds = {"rewrite": 0.0, "resynthesis": 0.0, "cost": 0.0}
         self._phase_calls = {"rewrite": 0, "resynthesis": 0, "cost": 0}
         if self._config.track_history:
@@ -301,55 +292,16 @@ class GuoqRun:
         # sibling sharing the store (another worker, a resident serve job)
         # sees them at its next step instead of at run close.  Local
         # backends write through, so this is a no-op for them.
-        for _, cache in self._attached_caches():
+        for cache in self._attached_caches():
             cache.flush()
-        if config.batch_resynthesis:
-            self._dispatch_miss_batch()
         return not self._done
 
     def _attached_caches(self):
-        """``(transformation, cache)`` for every transformation with a cache."""
+        """The resynthesis cache of every transformation that has one."""
         for transformation in self._optimizer.transformations:
             cache = getattr(getattr(transformation, "resynthesizer", None), "cache", None)
             if cache is not None:
-                yield transformation, cache
-
-    def _dispatch_miss_batch(self) -> None:
-        """Turn this quantum's cache misses into one batched dispatch.
-
-        Per attached cache: drain the ``(key, canonical)`` pairs recorded at
-        miss time and either offload them as a server-side batch synthesis
-        job (``batch_offload_misses``, for backends that support it) or
-        batch-prefetch their buckets — one IPC round trip that pulls sibling
-        workers' fresh entries into L1 instead of a round trip per future
-        lookup.  Every failure degrades to doing nothing (the scalar paths
-        already resolved this worker's own misses); nothing here can drop a
-        miss or perturb the search trajectory.
-        """
-        config = self._config
-        for transformation, cache in self._attached_caches():
-            missed = cache.drain_missed_items()
-            if not missed:
-                continue
-            backend = cache.backend
-            if config.batch_offload_misses and getattr(
-                backend, "supports_batch_synthesis", False
-            ):
-                from repro.synthesis.batch import resynthesizer_spec
-
-                spec = resynthesizer_spec(transformation.resynthesizer)
-                if spec is not None:
-                    try:
-                        backend.synth_batch(spec, missed)
-                        self._batch_dispatches += 1
-                        continue
-                    except Exception as error:  # noqa: BLE001 - degrade, never raise
-                        cache.record_batch_failure(
-                            f"step-boundary offload failed: {error!r}"
-                        )
-            if backend.kind != "local":
-                cache.prefetch_keys([key for key, _ in missed])
-                self._batch_dispatches += 1
+                yield cache
 
     def inject_incumbent(
         self, circuit: Circuit, cost: "float | None" = None, error: float = 0.0
@@ -453,20 +405,17 @@ class GuoqRun:
         """Hot-path instrumentation for the run so far (see :mod:`repro.perf`)."""
         caches = {}
         notes: list[str] = []
-        for transformation in self._optimizer.transformations:
-            cache = getattr(getattr(transformation, "resynthesizer", None), "cache", None)
-            if cache is not None:
-                caches[cache.token] = cache.stats()
-                for note in getattr(cache, "notes", ()):
-                    if note not in notes:
-                        notes.append(note)
+        for cache in self._attached_caches():
+            caches[cache.token] = cache.stats()
+            for note in getattr(cache, "notes", ()):
+                if note not in notes:
+                    notes.append(note)
         return PerfReport(
             iterations=self._iterations,
             elapsed=self._elapsed,
             phase_seconds=dict(self._phase_seconds),
             phase_calls=dict(self._phase_calls),
             rewrite_skips=self._nofire_skips,
-            batch_dispatches=self._batch_dispatches,
             caches=list(caches.values()),
             notes=notes,
         )

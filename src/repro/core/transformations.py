@@ -96,11 +96,9 @@ class ResynthesisTransformation(Transformation):
         )
         self.max_block_gates = max_block_gates
         self.name = f"resynth:{resynthesizer.name}"
-        #: the batched engine this transformation routes through; a batch of
-        #: one takes its singleton fast path (exactly the scalar call), so
-        #: the seam is live on the default hot path without changing it —
-        #: callers with a real miss set (GuoqRun step boundaries, the serve
-        #: scheduler) hand it bigger batches
+        #: the batched engine this transformation routes through; ``apply``
+        #: hands it a batch of one, which takes its singleton fast path
+        #: (exactly the scalar call)
         self.batcher = BatchResynthesizer(resynthesizer)
 
     def apply(

@@ -108,12 +108,10 @@ class _CoordinatorState:
         job: DistributedJob,
         plan: ShardPlan,
         max_shard_attempts: int = 5,
-        steal: bool = True,
     ) -> None:
         self.job = job
         self.plan = plan
         self.exchange = bool(getattr(job, "cross_host_exchange", False))
-        self.steal_enabled = steal
         self.num_runs = plan.num_runs
         self._runs: "dict[tuple[str, int], CaseRun]" = {
             (run.name, run.replica): run for shard in plan.shards for run in shard.runs
@@ -167,11 +165,8 @@ class _CoordinatorState:
                 ]
                 if batch:
                     return self._dispatch(host, batch)
-            if self.steal_enabled:
-                stolen = self._steal_tail(host)
-                if stolen:
-                    return self._dispatch(host, stolen)
-            return None
+            stolen = self._steal_tail(host)
+            return self._dispatch(host, stolen) if stolen else None
 
     def _dispatch(self, host: str, runs: "list[CaseRun]") -> _Assignment:
         assignment = _Assignment(next(self._ids), host, runs)
@@ -458,10 +453,10 @@ class Coordinator:
     listening) with ``join()`` to collect the result — the in-process form
     tests and drivers embed.
 
-    ``steal`` enables elastic work stealing (on by default; turn it off to
-    reproduce strict shard-ownership dispatch).  ``max_shard_attempts`` caps
-    *re-queue retries per run*: a run may be assigned to hosts at most
-    ``max_shard_attempts + 1`` times before the coordinator aborts.
+    An idle host steals the tail of a busy host's batch.
+    ``max_shard_attempts`` caps *re-queue retries per run*: a run may be
+    assigned to hosts at most ``max_shard_attempts + 1`` times before the
+    coordinator aborts.
     """
 
     def __init__(
@@ -473,7 +468,6 @@ class Coordinator:
         authkey: "bytes | None" = None,
         timeout: "float | None" = None,
         max_shard_attempts: int = 5,
-        steal: bool = True,
     ) -> None:
         # Fail before binding: a case name no host can resolve would fail
         # deterministically on every assignment (see the re-queue cap).
@@ -485,7 +479,6 @@ class Coordinator:
         self.authkey = bytes(authkey) if authkey is not None else distrib_authkey()
         self.timeout = timeout
         self.max_shard_attempts = max_shard_attempts
-        self.steal = steal
         self._address: "tuple[str, int] | None" = None
         self._bound = threading.Event()
         self._thread: "threading.Thread | None" = None
@@ -517,12 +510,7 @@ class Coordinator:
             rpc.drain_connection_pool()
 
     def _serve(self) -> DistributedSuiteResult:
-        state = _CoordinatorState(
-            self.job,
-            self.plan,
-            max_shard_attempts=self.max_shard_attempts,
-            steal=self.steal,
-        )
+        state = _CoordinatorState(self.job, self.plan, max_shard_attempts=self.max_shard_attempts)
         started = time.monotonic()
         server = rpc.Server(
             (self.host, self.port),
@@ -711,11 +699,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "trajectories; leave off for bit-reproducible runs)",
     )
     parser.add_argument(
-        "--no-steal",
-        action="store_true",
-        help="disable elastic work stealing (strict shard ownership)",
-    )
-    parser.add_argument(
         "--cache",
         default=None,
         metavar="SPEC",
@@ -775,7 +758,6 @@ def main(argv: "list[str] | None" = None) -> int:
         port=args.port,
         authkey=args.authkey.encode() if args.authkey else None,
         timeout=args.timeout,
-        steal=not args.no_steal,
     )
     print(f"[coordinator] plan: {plan.describe()}")
     address = coordinator.start()

@@ -67,8 +67,6 @@ class PortfolioConfig:
     num_workers: int = 4
     exchange_interval: int = 250
     backend: str = "auto"
-    share_incumbent: bool = True
-    anchor_worker: bool = True
     variants: "tuple[VariantSpec, ...] | None" = None
 
     def __post_init__(self) -> None:
@@ -147,10 +145,10 @@ class PortfolioOptimizer:
     * ``"local:"`` — one in-process shared cache; reuse spans
       serial/thread workers, while the processes backend forks private
       copies per worker (recorded in ``result.perf.notes``).
-    * ``"server:"`` (alias ``"shm:"``) — a cross-process shared store: a
-      cache server the driver spawns when ``optimize`` starts and shuts down
-      when it returns.  If the platform cannot bring it up, the run degrades
-      to ``"local:"`` and says so in ``result.perf.notes``.
+    * ``"server:"`` — a cross-process shared store: a cache server the
+      driver spawns when ``optimize`` starts and shuts down when it returns.
+      If the platform cannot bring it up, the run degrades to ``"local:"``
+      and says so in ``result.perf.notes``.
     * ``"tcp://host:port[,host:port...]"`` — a *network* store served by
       already-running cache servers (``python -m repro.distrib.cache_server``),
       with keys consistent-hashed across servers; portfolio runs on
@@ -224,14 +222,13 @@ class PortfolioOptimizer:
     def _build_engines(self, circuit: Circuit, shared_cache: "ResynthesisCache | None"):
         config = self.config
         base = config.search
-        variants = assign_variants(config.num_workers, config.variants, config.anchor_worker)
+        variants = assign_variants(config.num_workers, config.variants)
         seeds: "list[int | None]" = list(spawn_seeds(base.seed, config.num_workers))
-        if config.anchor_worker:
-            # The anchor reproduces the single-worker run exactly, which is
-            # what guarantees portfolio >= solo on the same seed and
-            # iteration budget (see the anchoring note in the module
-            # docstring for the wall-clock caveat).
-            seeds[0] = base.seed
+        # The anchor reproduces the single-worker run exactly, which is what
+        # guarantees portfolio >= solo on the same seed and iteration budget
+        # (see the anchoring note in the module docstring for the wall-clock
+        # caveat).
+        seeds[0] = base.seed
         engines = []
         for variant, seed in zip(variants, seeds):
             worker_config = variant.configure(base, seed)
@@ -399,12 +396,9 @@ class PortfolioRun:
 
         # Exchange: behind workers restart from the portfolio's best state.
         # The anchor (worker 0) never adopts, preserving its solo trajectory.
-        if config.share_incumbent:
-            for index, engine in enumerate(self.engines):
-                if engine.done or (config.anchor_worker and index == 0):
-                    continue
-                if self.cost(engine.current_circuit) > self.incumbent_cost:
-                    engine.inject_incumbent(self.incumbent_circuit, error=self.incumbent_error)
+        for engine in self.engines[1:]:
+            if not engine.done and self.cost(engine.current_circuit) > self.incumbent_cost:
+                engine.inject_incumbent(self.incumbent_circuit, error=self.incumbent_error)
         self.elapsed += time.monotonic() - started
         return not self.done
 

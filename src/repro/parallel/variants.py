@@ -66,27 +66,21 @@ def default_variants() -> tuple[VariantSpec, ...]:
 
 
 def assign_variants(
-    num_workers: int,
-    variants: "tuple[VariantSpec, ...] | None" = None,
-    anchor: bool = True,
+    num_workers: int, variants: "tuple[VariantSpec, ...] | None" = None
 ) -> list[VariantSpec]:
     """Assign one variant per worker.
 
-    With ``anchor`` (the default) worker 0 runs the unmodified base
-    configuration under the root seed, which guarantees the portfolio result
-    is at least as good as the equivalent single-worker run on the same
-    iteration budget (see the anchoring note in ``repro.parallel.portfolio``
-    for the wall-clock caveat); the remaining workers cycle through
-    ``variants``.
+    Worker 0 is the anchor: it runs the unmodified base configuration under
+    the root seed, which guarantees the portfolio result is at least as good
+    as the equivalent single-worker run on the same iteration budget (see
+    the anchoring note in ``repro.parallel.portfolio`` for the wall-clock
+    caveat); the remaining workers cycle through ``variants``.
     """
     if num_workers < 1:
         raise ValueError("a portfolio needs at least one worker")
     cycle = default_variants() if variants is None else tuple(variants)
     if not cycle:
         raise ValueError("variant cycle must not be empty")
-    assigned: list[VariantSpec] = []
-    if anchor:
-        assigned.append(VariantSpec(label="anchor"))
-    while len(assigned) < num_workers:
-        assigned.append(cycle[(len(assigned) - (1 if anchor else 0)) % len(cycle)])
-    return assigned[:num_workers]
+    return [VariantSpec(label="anchor")] + [
+        cycle[index % len(cycle)] for index in range(num_workers - 1)
+    ]

@@ -41,7 +41,7 @@ from __future__ import annotations
 import itertools
 import threading
 import uuid
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -229,15 +229,6 @@ class ResynthesisCache:
         self._backend_failures = 0
         self._backend_failure_noted = False
         self._tcp_degradation_noted = False
-        #: server-side batch synthesis jobs that failed/degraded to per-item
-        #: scalar synthesis (see :mod:`repro.synthesis.batch`); surfaced via
-        #: :meth:`stats` and ``PerfReport.notes``
-        self._batch_failures = 0
-        self._batch_failure_noted = False
-        #: recently missed ``(key_bytes, canonical)`` pairs, recorded by
-        #: :meth:`get` and drained by ``GuoqRun`` at step boundaries; bounded
-        #: so an undrained cache never grows without bound
-        self._missed: "deque[tuple[bytes, np.ndarray]]" = deque(maxlen=256)
         #: keys this front end itself stored — a hit on any other key served
         #: from a shared backend is a *cross-worker* (remote) hit
         self._my_keys: "set[bytes]" = set()
@@ -280,7 +271,6 @@ class ResynthesisCache:
         if entry is None:
             with self._lock:
                 self._misses += 1
-                self._missed.append((key, canonical))
             return False, None
         # Single read: a concurrent put() may refresh entry.outcome in place
         # (thread-shared caches), so branch and remap from one snapshot.
@@ -295,7 +285,6 @@ class ResynthesisCache:
                 with self._lock:
                     self._misses += 1
                     self._verify_failures += 1
-                    self._missed.append((key, canonical))
                 return False, None
             candidate = verified
         self._count_hit(remote)
@@ -343,27 +332,7 @@ class ResynthesisCache:
         if pending:
             self._backend_put_many(pending)
 
-    # -- batch dispatch hooks -------------------------------------------------
-
-    def drain_missed_items(self) -> "list[tuple[bytes, np.ndarray]]":
-        """Return and clear the recently missed ``(key, canonical)`` pairs.
-
-        Run-level batch dispatchers (``GuoqRun._dispatch_miss_batch``, the
-        batch engine itself) call this at step boundaries to turn a step's
-        miss set into one batched prefetch or server-side synthesis job.
-        Duplicate keys are collapsed (first occurrence wins — all
-        occurrences share the canonical frame by construction).
-        """
-        with self._lock:
-            drained = list(self._missed)
-            self._missed.clear()
-        seen: "set[bytes]" = set()
-        unique = []
-        for key, canonical in drained:
-            if key not in seen:
-                seen.add(key)
-                unique.append((key, canonical))
-        return unique
+    # -- batch engine hooks ---------------------------------------------------
 
     def prefetch_keys(self, keys: "list[bytes]") -> int:
         """Warm the L1 read cache with one batched fetch of ``keys``.
@@ -413,17 +382,6 @@ class ResynthesisCache:
                 _entries_match(entry.canonical, canonical, self.match_epsilon)
                 for entry in bucket
             )
-
-    def record_batch_failure(self, detail: str) -> None:
-        """Count a failed/degraded batch synthesis job (noted once)."""
-        with self._lock:
-            self._batch_failures += 1
-            if not self._batch_failure_noted:
-                self._batch_failure_noted = True
-                self.notes.append(
-                    "batched resynthesis dispatch failed mid-run; degraded to "
-                    f"per-item scalar synthesis ({detail})"
-                )
 
     # -- internals -----------------------------------------------------------
 
@@ -600,7 +558,6 @@ class ResynthesisCache:
                 dropped_requests=dropped,
                 unreachable_servers=unreachable,
                 backend_failures=self._backend_failures,
-                batch_failures=self._batch_failures,
             )
 
     def clear(self) -> None:
@@ -662,9 +619,6 @@ class ResynthesisCache:
         del state["_lock"]  # locks do not pickle; recreated on load
         state["_l1"] = OrderedDict()
         state["_write_buffer"] = []
-        # The fork starts with an empty miss log: the original's undispatched
-        # misses are its own dispatcher's responsibility, not the copy's.
-        state["_missed"] = deque(maxlen=self._missed.maxlen)
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -49,11 +49,6 @@ class CacheStats:
     #: failure (shared stores lost mid-run degrade to local misses instead
     #: of crashing the run)
     backend_failures: int = 0
-    #: batched resynthesis dispatches that failed or degraded mid-batch
-    #: (server-side batch jobs lost to a dead worker, offloads rejected by
-    #: the backend); each one fell back to per-item scalar synthesis — a
-    #: speed loss, never a dropped miss
-    batch_failures: int = 0
 
     @property
     def lookups(self) -> int:
@@ -81,7 +76,6 @@ class CacheStats:
             "dropped_requests": self.dropped_requests,
             "unreachable_servers": self.unreachable_servers,
             "backend_failures": self.backend_failures,
-            "batch_failures": self.batch_failures,
         }
 
 
@@ -100,9 +94,6 @@ class PerfReport:
     phase_seconds: dict[str, float] = field(default_factory=dict)
     phase_calls: dict[str, int] = field(default_factory=dict)
     rewrite_skips: int = 0
-    #: miss batches the run dispatched through the batched-resynthesis seam
-    #: (prefetches and server-side batch jobs; see ``docs/batching.md``)
-    batch_dispatches: int = 0
     caches: list[CacheStats] = field(default_factory=list)
     #: human-readable lifecycle events worth surfacing in reports: shared
     #: cache backend selections, fallbacks, and fork-time downgrades
@@ -137,11 +128,6 @@ class PerfReport:
         return sum(stats.verify_failures for stats in self.caches)
 
     @property
-    def cache_batch_failures(self) -> int:
-        """Failed/degraded batch synthesis dispatches across caches."""
-        return sum(stats.batch_failures for stats in self.caches)
-
-    @property
     def cache_dropped_requests(self) -> int:
         """Requests degraded backends dropped mid-run (0 = healthy fleet)."""
         return sum(stats.dropped_requests + stats.backend_failures for stats in self.caches)
@@ -164,13 +150,11 @@ class PerfReport:
             "phase_seconds": dict(self.phase_seconds),
             "phase_calls": dict(self.phase_calls),
             "rewrite_skips": self.rewrite_skips,
-            "batch_dispatches": self.batch_dispatches,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_hit_rate": self.cache_hit_rate,
             "cache_remote_hits": self.cache_remote_hits,
             "cache_verify_failures": self.cache_verify_failures,
-            "cache_batch_failures": self.cache_batch_failures,
             "cache_dropped_requests": self.cache_dropped_requests,
             "cache_unreachable_servers": self.cache_unreachable_servers,
             "caches": [stats.to_dict() for stats in self.caches],
@@ -194,7 +178,6 @@ class PerfReport:
                 continue
             merged.iterations += report.iterations
             merged.rewrite_skips += report.rewrite_skips
-            merged.batch_dispatches += report.batch_dispatches
             merged.elapsed = max(merged.elapsed, report.elapsed)
             for phase, seconds in report.phase_seconds.items():
                 merged.phase_seconds[phase] = merged.phase_seconds.get(phase, 0.0) + seconds

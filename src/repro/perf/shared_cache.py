@@ -14,9 +14,9 @@ Two backends cover every execution mode:
   network servers (``python -m repro.distrib.cache_server``), consistent-hash
   sharded, whose lifetime spans many runs and hosts — this is what lets
   portfolio runs on *different machines* share synthesis results (see
-  ``docs/distributed.md``).  ``server:`` (alias ``shm:``) is the same backend
-  with no addresses: :meth:`BackendSpec.create` spawns a driver-owned server
-  on 127.0.0.1 with a fresh random authkey, and the returned handle shuts it
+  ``docs/distributed.md``).  ``server:`` is the same backend with no
+  addresses: :meth:`BackendSpec.create` spawns a driver-owned server on
+  127.0.0.1 with a fresh random authkey, and the returned handle shuts it
   down on ``close()``.  An unreachable server at bring-up raises
   :class:`SharedCacheUnavailable`; a server lost *mid-run* degrades its key
   range to miss/drop instead of failing the run.
@@ -69,9 +69,6 @@ class CacheBackend(Protocol):
     kind: str
     #: whether copies that cross a process boundary still reach this store
     shared_across_processes: bool
-    #: whether the store can run server-side batch synthesis jobs
-    #: (``synth_batch``); the batch engine checks this before offloading
-    supports_batch_synthesis: bool
 
     def get_many(self, keys: "list[bytes]") -> "dict[bytes, list[_Entry]]":
         """Fetch the buckets stored under ``keys`` (absent keys omitted)."""
@@ -299,7 +296,6 @@ class LocalBackend(_BucketStore):
 
     kind = "local"
     shared_across_processes = False
-    supports_batch_synthesis = False
 
     def close(self) -> None:
         """Persist the store if a disk tier is attached; nothing else held."""
@@ -520,7 +516,6 @@ class TcpCacheBackend:
 
     kind = "tcp"
     shared_across_processes = True
-    supports_batch_synthesis = True
 
     def __init__(
         self,
@@ -749,13 +744,9 @@ SPEC_QUERY_KEYS = ("store", "flush_every", "maxsize", "match_epsilon")
 
 _SPEC_GRAMMAR = (
     "local:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X] | "
-    "server:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X] (alias shm:) | "
+    "server:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X] | "
     "tcp://host:port[,host:port...][?maxsize=N&match_epsilon=X]"
 )
-
-#: spec prefixes naming a tcp spec with no addresses: a driver-owned server
-_SPAWN_ALIASES = ("server", "shm")
-
 
 def _reject_store_path(servers, store_path, source: str) -> None:
     """The up-front store-path guard: a client of network servers owns no store.
@@ -776,10 +767,10 @@ class BackendSpec:
     """A parsed cache-backend specification — the one way to spell backends.
 
     Produced by :func:`parse_backend_spec`; two spellings that resolve to
-    the same configuration (``shm:`` and ``server:``) compare equal
-    (``source`` keeps the original text for error messages but is excluded
-    from comparison).  ``canonical`` renders the URL form back out;
-    :meth:`create` materializes the backend.
+    the same configuration compare equal (``source`` keeps the original
+    text for error messages but is excluded from comparison).
+    ``canonical`` renders the URL form back out; :meth:`create`
+    materializes the backend.
 
     ``kind`` is ``"local"`` or ``"tcp"``.  A ``tcp`` spec without
     ``servers`` (spelled ``server:``) spawns a driver-owned cache server on
@@ -907,7 +898,7 @@ def parse_backend_spec(spec, parameter: "str | None" = None) -> BackendSpec:
     the serve/coordinator/cache-server ``--cache`` flags)::
 
         local:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X]
-        server:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X]   (alias shm:)
+        server:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X]
         tcp://host:port[,host:port...][?maxsize=N&match_epsilon=X]
 
     Validation is up-front: anything else — bare kind names, ``True``,
@@ -931,7 +922,7 @@ def parse_backend_spec(spec, parameter: "str | None" = None) -> BackendSpec:
         _reject_store_path(servers, values.get("store_path"), source)
         return BackendSpec(kind="tcp", servers=servers, source=source, **values)
     kind, separator, rest = spec.partition(":")
-    if separator and kind in ("local",) + _SPAWN_ALIASES and (not rest or rest[0] == "?"):
+    if separator and kind in ("local", "server") and (not rest or rest[0] == "?"):
         values = _parse_spec_query(rest[1:], source)
         kind = "local" if kind == "local" else "tcp"
         return BackendSpec(kind=kind, source=source, **values)
@@ -948,7 +939,7 @@ def create_backend(
     """Build a cache backend from a spec, or raise :class:`SharedCacheUnavailable`.
 
     A thin shim over :func:`parse_backend_spec` + :meth:`BackendSpec.create`:
-    ``kind`` is a spec string (``"local:"``, ``"server:"``/``"shm:"``,
+    ``kind`` is a spec string (``"local:"``, ``"server:"``,
     ``"tcp://host:port[,...]?..."``) or a :class:`BackendSpec`.  Keyword
     arguments are fallbacks for anything the spec's query string doesn't pin.
 

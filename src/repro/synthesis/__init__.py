@@ -14,7 +14,6 @@ from repro.synthesis.resynth import (
 # batch builds on resynth; keep this import after it (and note that batch
 # must never import repro.perf at module level — see its docstring)
 from repro.synthesis.batch import (
-    OFFLOAD_POLICIES,
     BatchResynthesizer,
     resynthesizer_from_spec,
     resynthesizer_spec,
@@ -26,7 +25,6 @@ __all__ = [
     "CliffordTSynthesizer",
     "EXACT_DISTANCE_FLOOR",
     "NumericalResynthesizer",
-    "OFFLOAD_POLICIES",
     "Resynthesizer",
     "ResynthesisOutcome",
     "TemplateSynthesisResult",

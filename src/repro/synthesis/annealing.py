@@ -22,6 +22,7 @@ import numpy as np
 from repro.circuits.circuit import Circuit, instruction
 from repro.utils.linalg import (
     COMPLEX_DTYPE,
+    _hs_distance,
     apply_gate_to_matrix,
     batched_hs_distances,
     unitary_content_key,
@@ -52,12 +53,6 @@ def _all_moves(num_qubits: int) -> list[_Move]:
             _Move("cx", (a, b)) for a, b in permutations(range(num_qubits), 2)
         )
     return moves
-
-
-def _hs_distance(target: np.ndarray, unitary: np.ndarray) -> float:
-    dim = target.shape[0]
-    overlap = abs(np.trace(target.conj().T @ unitary)) / dim
-    return float(np.sqrt(max(0.0, 1.0 - min(1.0, overlap) ** 2)))
 
 
 class CliffordTSynthesizer:

@@ -28,14 +28,6 @@ same cache entries and counters, same rng stream.  The load-bearing rules
   negative (failure) entries, and ``cache_failures=False`` configurations
   all behave exactly as in the scalar loop.
 
-``offload="auto"`` additionally ships the certain-miss batch to a cache
-backend that supports server-side batch synthesis (``tcp``, including ``server:``), so
-one vectorized pass on the server serves many workers' misses.  Offloaded
-synthesis uses the *server's* rng, which breaks bit-identity with the local
-scalar loop — that is why it is opt-in and defaults to ``"never"``.  Every
-offload failure degrades to the local per-item path and is counted
-(``batch_failures``), never hung on or dropped.
-
 This module must not import :mod:`repro.perf` at module level — the perf
 cache imports ``repro.synthesis`` (for :class:`ResynthesisOutcome`), so the
 store-side helpers import perf internals lazily inside functions.
@@ -54,12 +46,6 @@ from repro.synthesis.resynth import (
 )
 from repro.utils.linalg import COMPLEX_DTYPE
 
-#: offload policies: ``"never"`` keeps every synthesis local (bit-identical
-#: to the scalar loop); ``"auto"`` ships certain-miss batches to a backend
-#: advertising ``supports_batch_synthesis``
-OFFLOAD_POLICIES = ("never", "auto")
-
-
 class BatchResynthesizer:
     """Vectorized batch front end over one scalar resynthesizer.
 
@@ -69,20 +55,12 @@ class BatchResynthesizer:
         The scalar backend (with or without an attached cache).  The batch
         engine never bypasses it: everything non-deterministic or
         cache-visible runs through the scalar code paths in item order.
-    offload:
-        ``"never"`` (default) or ``"auto"`` — see :data:`OFFLOAD_POLICIES`
-        and the module docstring for the bit-identity trade-off.
     """
 
-    def __init__(self, resynthesizer: Resynthesizer, offload: str = "never") -> None:
-        if offload not in OFFLOAD_POLICIES:
-            raise ValueError(f"offload must be one of {OFFLOAD_POLICIES}, got {offload!r}")
+    def __init__(self, resynthesizer: Resynthesizer) -> None:
         self.resynthesizer = resynthesizer
-        self.offload = offload
         #: batches this engine processed (the seam's liveness signal)
         self.dispatches = 0
-        #: offloads that failed and degraded to the local per-item path
-        self.batch_failures = 0
 
     @property
     def cache(self):
@@ -163,12 +141,6 @@ class BatchResynthesizer:
         # A wrong "certain miss" (a sibling worker inserts between peek and
         # get) only wastes prepass work — the ordered get still hits and the
         # unused rng-free candidate is dropped.
-        if self.offload == "auto" and prepass_set:
-            if self._offload(cache, [(keys[i][0], keys[i][2]) for i in prepass_set]):
-                cache.prefetch_keys([keys[i][0] for i in prepass_set])
-                prepass_set = [
-                    i for i in prepass_set if not cache.peek_key(keys[i][0], keys[i][2])
-                ]
         candidates = self._prepass(prepass_set, unitaries)
         # Phase C — strict item order: exactly the scalar loop, with the
         # prepass result standing in for the deterministic BFS stage.
@@ -197,37 +169,6 @@ class BatchResynthesizer:
             for index, candidate in zip(indices, found)
             if candidate is not None
         }
-
-    def _offload(self, cache, items: "list[tuple[bytes, np.ndarray]]") -> bool:
-        """Ship a certain-miss batch to the backend's batch synthesis job.
-
-        Returns True when the server accepted the batch (fully or partly);
-        every failure mode degrades to the local per-item path and is
-        counted — a dead server can cost speed, never a dropped miss.
-        """
-        backend = cache.backend
-        if not getattr(backend, "supports_batch_synthesis", False):
-            return False
-        spec = resynthesizer_spec(self.resynthesizer)
-        if spec is None:
-            return False
-        try:
-            reply = backend.synth_batch(spec, items)
-        except Exception as error:  # noqa: BLE001 - any failure degrades
-            self.batch_failures += 1
-            cache.record_batch_failure(f"server batch synthesis failed: {error!r}")
-            return False
-        if not reply:
-            self.batch_failures += 1
-            cache.record_batch_failure("server batch synthesis request was dropped")
-            return False
-        if reply.get("dropped"):
-            self.batch_failures += 1
-            cache.record_batch_failure(
-                f"{reply['dropped']} batch item(s) lost to dead cache server(s)"
-            )
-        return True
-
 
 # --------------------------------------------------------------------------
 # Resynthesizer specs: the picklable "how to synthesize" record a batch job
@@ -368,7 +309,6 @@ def synthesize_missing_into_store(store, spec: dict, items: list) -> dict:
 
 __all__ = [
     "BatchResynthesizer",
-    "OFFLOAD_POLICIES",
     "resynthesizer_from_spec",
     "resynthesizer_spec",
     "synthesize_missing_into_store",

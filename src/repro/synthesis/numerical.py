@@ -20,7 +20,7 @@ from scipy.optimize import minimize
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.euler import u3_circuit
-from repro.utils.linalg import COMPLEX_DTYPE, apply_gate_to_matrix
+from repro.utils.linalg import COMPLEX_DTYPE, _hs_distance, apply_gate_to_matrix
 from repro.utils.rng import ensure_rng
 from repro.circuits.gates import CX_MAT, u3_matrix
 
@@ -218,9 +218,3 @@ class TemplateSynthesizer:
         native = u3_circuit(u3_matrix(theta, phi, lam))
         for inst in native.instructions:
             circuit.append(inst.remapped({0: qubit}))
-
-
-def _hs_distance(target: np.ndarray, unitary: np.ndarray) -> float:
-    dim = target.shape[0]
-    overlap = abs(np.trace(target.conj().T @ unitary)) / dim
-    return float(np.sqrt(max(0.0, 1.0 - min(1.0, overlap) ** 2)))

@@ -138,6 +138,20 @@ def batched_hs_distances(targets: np.ndarray, unitary: np.ndarray) -> np.ndarray
     return np.sqrt(np.maximum(0.0, 1.0 - overlaps**2))
 
 
+def _hs_distance(target: np.ndarray, unitary: np.ndarray) -> float:
+    """The synthesizers' scalar Hilbert–Schmidt distance (no shape check).
+
+    The exact-match and cost checks of both synthesizers, and the scalar
+    confirmation of :func:`batched_hs_distances` screens, use this formula.
+    It clips the overlap before squaring, so its last ulp can differ from
+    :func:`hilbert_schmidt_distance`; swapping one for the other would change
+    seeded synthesis trajectories.
+    """
+    dim = target.shape[0]
+    overlap = abs(np.trace(target.conj().T @ unitary)) / dim
+    return float(np.sqrt(max(0.0, 1.0 - min(1.0, overlap) ** 2)))
+
+
 def hilbert_schmidt_distance(unitary_a: np.ndarray, unitary_b: np.ndarray) -> float:
     """Hilbert–Schmidt distance (Def. 3.2), insensitive to global phase.
 

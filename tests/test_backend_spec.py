@@ -1,10 +1,10 @@
 """Tests for the unified cache/backend spec API (``parse_backend_spec``).
 
 The contract: every cache-configuration surface speaks one grammar,
-``shm:`` and ``server:`` are aliases of one spec (a ``tcp`` spec with no
-addresses), and everything else — ``True``, bare kind names, malformed
-specs, ``store`` on a client of network servers — fails up front with an
-error naming the offending spec string and the grammar.
+``server:`` is a ``tcp`` spec with no addresses, and everything else —
+``True``, bare kind names, the retired ``shm:`` spelling, malformed specs,
+``store`` on a client of network servers — fails up front with an error
+naming the offending spec string and the grammar.
 """
 
 import warnings
@@ -16,14 +16,15 @@ from repro.perf.shared_cache import SPEC_QUERY_KEYS
 
 
 class TestGrammar:
-    def test_shm_and_server_alias_one_tcp_spec(self):
-        assert parse_backend_spec("shm:") == parse_backend_spec("server:")
-        spec = parse_backend_spec("shm:?maxsize=8")
+    def test_shm_is_rejected_and_server_is_a_tcp_spec(self):
+        with pytest.raises(ValueError, match=r"unrecognized backend spec 'shm:'.*expected local:"):
+            parse_backend_spec("shm:")
+        spec = parse_backend_spec("server:?maxsize=8")
         assert spec.kind == "tcp" and spec.servers == ()
         assert spec.canonical == "server:?maxsize=8"
 
     def test_backend_spec_passes_through(self):
-        spec = parse_backend_spec("shm:")
+        spec = parse_backend_spec("server:")
         assert parse_backend_spec(spec) is spec
 
     def test_query_values_parse(self):
@@ -43,7 +44,7 @@ class TestGrammar:
     def test_canonical_round_trips(self):
         for text in (
             "local:",
-            "shm:?maxsize=16&match_epsilon=1e-06",
+            "server:?maxsize=16&match_epsilon=1e-06",
             "server:?store=/tmp/x.pkl",
             "tcp://h:9?maxsize=8",
         ):
@@ -51,9 +52,9 @@ class TestGrammar:
             assert parse_backend_spec(spec.canonical) == spec
 
     def test_source_is_kept_but_excluded_from_equality(self):
-        alias, canonical = parse_backend_spec("shm:"), parse_backend_spec("server:")
-        assert alias == canonical
-        assert alias.source == "shm:" and canonical.source == "server:"
+        bare, queried = parse_backend_spec("server:"), parse_backend_spec("server:?")
+        assert bare == queried
+        assert bare.source == "server:" and queried.source == "server:?"
 
     @pytest.mark.parametrize(
         "bad",
@@ -64,6 +65,7 @@ class TestGrammar:
             "local:extra",  # junk between kind and query
             "local:?unknown_key=1",
             "shm:?maxsize=notanumber",
+            "server:?maxsize=notanumber",
             "server:?stripes=2",  # stripes left the grammar with the shm backend
         ],
     )
@@ -91,10 +93,10 @@ class TestGrammar:
 class TestStorePathValidation:
     """Satellite bugfix: store on a storeless backend dies up front, by name."""
 
-    def test_shm_alias_accepts_store_like_server(self):
-        spec = parse_backend_spec("shm:?store=/tmp/x")
-        assert spec == parse_backend_spec("server:?store=/tmp/x")
-        assert spec.store_path == "/tmp/x"
+    def test_shm_store_spec_is_rejected(self):
+        with pytest.raises(ValueError, match=r"unrecognized backend spec 'shm:\?store=/tmp/x'"):
+            parse_backend_spec("shm:?store=/tmp/x")
+        assert parse_backend_spec("server:?store=/tmp/x").store_path == "/tmp/x"
 
     def test_tcp_spec_with_store_points_at_the_server_flag(self):
         with pytest.raises(ValueError, match="store_path.*cache server"):
@@ -121,7 +123,7 @@ class TestDeprecationShims:
     def test_url_forms_never_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            parse_backend_spec("shm:", parameter="share_resynthesis_cache")
+            parse_backend_spec("server:", parameter="share_resynthesis_cache")
             parse_backend_spec("tcp://h:1", parameter="share_resynthesis_cache")
 
 
@@ -141,10 +143,12 @@ class TestSpecRouting:
         cache = ResynthesisCache(shared=True, backend=parse_backend_spec("local:"))
         assert cache.backend.kind == "local"
 
-    def test_legacy_and_url_spellings_build_equal_specs(self):
-        # shm: is the legacy spelling of the driver-owned server spec.
-        assert parse_backend_spec("shm:", parameter="x") == parse_backend_spec("server:")
-        assert parse_backend_spec("shm:?maxsize=3") == parse_backend_spec("server:?maxsize=3")
+    def test_legacy_shm_spelling_is_rejected_naming_the_parameter(self):
+        # shm: was the legacy spelling of the driver-owned server: spec.
+        with pytest.raises(ValueError, match=r"x='shm:'.*expected local:"):
+            parse_backend_spec("shm:", parameter="x")
+        with pytest.raises(ValueError, match=r"'shm:\?maxsize=3'.*server:"):
+            parse_backend_spec("shm:?maxsize=3")
 
     def test_spec_is_picklable_for_job_records(self):
         import pickle

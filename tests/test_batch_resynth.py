@@ -17,7 +17,6 @@ rewrite and synthesis property suites.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 from strategies import block_batches, circuit_in_gate_set
 
@@ -28,7 +27,6 @@ from repro.synthesis import (
     BatchResynthesizer,
     CliffordTResynthesizer,
     NumericalResynthesizer,
-    OFFLOAD_POLICIES,
 )
 from repro.synthesis.annealing import _unitary_key
 from repro.utils.linalg import unitary_content_key
@@ -126,11 +124,6 @@ class TestBatchEdges:
 
     def test_singleton_batch_is_the_scalar_call(self):
         _assert_differential(_fast_clifford, [Circuit(2).cx(0, 1).t(1)])
-
-    def test_rejects_unknown_offload_policy(self):
-        with pytest.raises(ValueError, match="offload"):
-            BatchResynthesizer(_fast_clifford(), offload="sometimes")
-        assert "never" in OFFLOAD_POLICIES and "auto" in OFFLOAD_POLICIES
 
     def test_dispatch_counter_counts_batches_not_blocks(self):
         engine = BatchResynthesizer(_fast_clifford().attach_cache(ResynthesisCache()))

@@ -49,9 +49,9 @@ def fast_job(**overrides) -> DistributedJob:
     return DistributedJob(**settings)
 
 
-def run_distributed(job, plan, hosts, delays=None, case_delays=None, steal=True, timeout=180.0):
+def run_distributed(job, plan, hosts, delays=None, case_delays=None, timeout=180.0):
     """Drive a coordinator with ``hosts`` agent subprocesses; return the result."""
-    coordinator = Coordinator(job, plan, timeout=timeout, steal=steal)
+    coordinator = Coordinator(job, plan, timeout=timeout)
     address = coordinator.start()
     context = multiprocessing.get_context()
     agents = [
@@ -390,19 +390,6 @@ class TestElasticStealing:
         ]
         assert any(result.case_hosts[key] == "host-0" for key in stolen_keys)
 
-    def test_steal_disabled_keeps_strict_shard_ownership(self, two_shard_setup):
-        job, plan, local = two_shard_setup
-        result = run_distributed(job, plan, hosts=2, case_delays={1: 2.0}, steal=False)
-        assert result.steals == []
-        assert result.requeues == []
-        assert result.fingerprint() == local.fingerprint()
-        # Strict ownership: a shard's runs are never split across hosts.
-        # (Which host gets which shard is a pull race — not asserted.)
-        for shard in plan.shards:
-            owners = {result.case_hosts[(run.name, run.replica)] for run in shard.runs}
-            assert len(owners) == 1
-
-
 class TestCrossHostExchange:
     """Exchange-on runs: adoption happens and stays sound."""
 
@@ -419,7 +406,7 @@ class TestCrossHostExchange:
         plan = make_shard_plan(
             ["tof_4", "grover_3"], num_shards=2, root_seed=11, replicas=2
         )
-        result = run_distributed(job, plan, hosts=1, steal=False)
+        result = run_distributed(job, plan, hosts=1)
         assert result.adoptions, "the late replica must adopt the global best"
         assert any("adopted incumbent" in note for note in result.adoptions)
         # Soundness: the job is rewrites-only, so every transformation is

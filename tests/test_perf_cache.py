@@ -18,6 +18,7 @@ from repro.core import (
 from repro.gatesets import CLIFFORD_T
 from repro.perf import ResynthesisCache, canonicalize_unitary, permute_unitary
 from repro.perf.cache import _phase_normalized
+from repro.perf.shared_cache import LocalBackend, _entries_match
 from repro.rewrite import rules_for_gate_set
 from repro.suite.generators import random_clifford_t
 from repro.synthesis import CliffordTResynthesizer
@@ -272,6 +273,25 @@ class TestCrossWorkerReuse:
         assert stats.lookups > 0
 
 
+class _CountingSharedBackend(LocalBackend):
+    """An in-process store that records every read and poses as a shared one.
+
+    ``kind="tcp"`` sends the front end down its shared-store paths (L1 read
+    cache, write buffer, step-boundary flush) without a server process.
+    """
+
+    kind = "tcp"
+    shared_across_processes = True
+
+    def __init__(self) -> None:
+        super().__init__(maxsize=128)
+        self.reads: "list[list[bytes]]" = []
+
+    def get_many(self, keys):
+        self.reads.append(list(keys))
+        return super().get_many(keys)
+
+
 class TestEngineIntegration:
     def test_cached_engine_run_reports_hits_and_stays_valid(self):
         circuit = random_clifford_t(3, 30, seed=4)
@@ -292,3 +312,38 @@ class TestEngineIntegration:
         assert stats.lookups > 0
         assert result.perf is not None
         assert result.perf.cache_hits == stats.hits
+
+    def test_step_reads_the_backend_only_for_lookups_that_missed_l1(self):
+        """A step's backend reads are its own L1 misses; its boundary reads nothing."""
+        backend = _CountingSharedBackend()
+        cache = ResynthesisCache(maxsize=128, shared=True, backend=backend)
+        lookups = []  # (key, L1 content hit before the lookup, reads it issued)
+        original = cache._lookup
+
+        def recording_lookup(key, canonical):
+            l1_hit = any(
+                _entries_match(entry.canonical, canonical, cache.match_epsilon)
+                for entry in cache._l1.get(key, ())
+            )
+            before = len(backend.reads)
+            found = original(key, canonical)
+            lookups.append((key, l1_hit, backend.reads[before:]))
+            return found
+
+        cache._lookup = recording_lookup
+        config = GuoqConfig(
+            epsilon_budget=1e-3,
+            time_limit=1e9,
+            max_iterations=40,
+            seed=3,
+            resynthesis_probability=1.0,
+        )
+        optimizer = GuoqOptimizer(_clifford_t_transformations(cache), TotalGateCount(), config)
+        run = optimizer.start(random_clifford_t(3, 30, seed=4))
+        run.step(40)
+        assert any(l1_hit for _, l1_hit, _ in lookups)
+        assert any(not l1_hit for _, l1_hit, _ in lookups)
+        for key, l1_hit, reads in lookups:
+            assert reads == ([] if l1_hit else [[key]])
+        assert len(backend.reads) == sum(not l1_hit for _, l1_hit, _ in lookups)
+

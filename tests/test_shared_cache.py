@@ -371,7 +371,7 @@ class TestPortfolioIntegration:
             _clifford_t_transformations(),
             TotalGateCount(),
             _portfolio_config(num_workers=2, backend="serial"),
-            share_resynthesis_cache="shm:",
+            share_resynthesis_cache="server:",
         )
         result = optimizer.optimize(circuit)
         assert result.shared_cache_backend == "local"
