@@ -386,7 +386,7 @@ WARM_RESTART_SEED = 9
 
 def _tcp_cached_run(address, config, circuit):
     """One GUOQ run with a fresh front end against the server at ``address``."""
-    cache = ResynthesisCache(maxsize=256, shared=True, backend=TcpCacheBackend([address]))
+    cache = ResynthesisCache(maxsize=256, shared=True, backend=TcpCacheBackend(address))
     try:
         result, wall = _timed_run(
             _clifford_t_transformations(cache), TotalGateCount(), config, circuit

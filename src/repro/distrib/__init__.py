@@ -20,7 +20,7 @@ cooperating parts, each runnable standalone (see ``docs/distributed.md``):
 * the **cache server** (:mod:`repro.distrib.cache_server`) serves a shared
   resynthesis store over TCP that
   :class:`~repro.perf.shared_cache.TcpCacheBackend` clients on every host
-  shard keys across (``share_resynthesis_cache="tcp://host:port,..."``).
+  dial (``share_resynthesis_cache="tcp://host:port"``).
 
 Determinism contract: with a root seed and iteration-bounded runs (and no
 cross-host cache or cross-host exchange coupling trajectories), the merged

@@ -3,10 +3,9 @@
 ``python -m repro.distrib.cache_server --port 8799`` serves one
 :class:`~repro.perf.shared_cache._BucketStore` over :mod:`repro.rpc` on an
 ``AF_INET`` socket — the server a
-:class:`~repro.perf.shared_cache.TcpCacheBackend` client dials.  Run one (or
-several — clients shard keys across them with consistent hashing) near your
-host agents, then point every portfolio at
-``share_resynthesis_cache="tcp://host:port[,host:port...]"``.
+:class:`~repro.perf.shared_cache.TcpCacheBackend` client dials.  Run one near
+your host agents, then point every portfolio at
+``share_resynthesis_cache="tcp://host:port"``.
 
 Unlike the server a ``server:`` spec spawns for one run, a network cache
 server's lifetime deliberately spans many runs and many hosts: a warm store

@@ -703,7 +703,7 @@ def main(argv: "list[str] | None" = None) -> int:
         default=None,
         metavar="SPEC",
         help="shared resynthesis cache backend spec every host attaches to "
-        "(tcp://HOST:PORT[,...] for cross-host sharing; see docs/serving.md "
+        "(tcp://HOST:PORT for cross-host sharing; see docs/serving.md "
         "for the full grammar)",
     )
     parser.add_argument("--timeout", type=float, default=None, help="abort after this many seconds")

@@ -149,13 +149,12 @@ class PortfolioOptimizer:
       driver spawns when ``optimize`` starts and shuts down when it returns.
       If the platform cannot bring it up, the run degrades to ``"local:"``
       and says so in ``result.perf.notes``.
-    * ``"tcp://host:port[,host:port...]"`` — a *network* store served by
-      already-running cache servers (``python -m repro.distrib.cache_server``),
-      with keys consistent-hashed across servers; portfolio runs on
-      different machines share synthesis results this way (see
-      ``docs/distributed.md``).  The servers outlive the run — closing the
-      backend only drops this process's connections — and unreachable
-      servers degrade the run to ``"local"`` with a note, like the other
+    * ``"tcp://host:port"`` — a *network* store served by an
+      already-running cache server (``python -m repro.distrib.cache_server``);
+      portfolio runs on different machines share synthesis results this way
+      (see ``docs/distributed.md``).  The server outlives the run — closing
+      the backend only drops this process's connection — and an unreachable
+      server degrades the run to ``"local"`` with a note, like the other
       shared backends.
     * a :class:`~repro.perf.ResynthesisCache` instance — attached as-is and
       left alive on exit (caller-owned, e.g. to reuse one warm cache across
@@ -597,8 +596,8 @@ def optimize_circuit_portfolio(
     store (:mod:`repro.perf.shared_cache`) that the ``processes`` backend's
     workers all read and write — a block synthesized by one worker is a
     cache hit for every sibling.  A
-    ``"tcp://host:port[,...]"`` URL attaches the same protocol to network
-    cache servers shared *across machines* (see ``docs/distributed.md``).
+    ``"tcp://host:port"`` URL attaches the same protocol to a network
+    cache server shared *across machines* (see ``docs/distributed.md``).
     Off by default because
     sharing makes worker outcomes depend on sibling progress, which weakens
     the portfolio's backend-blind determinism guarantee.  With in-process

@@ -11,9 +11,9 @@ Algorithm 1 regression pin observes:
   qubit-permutation-normalized) form of the block unitary, with LRU bounds
   and hit/miss counters;
 * :mod:`~repro.perf.shared_cache` — pluggable cache storage backends:
-  in-process (``local``) and a consistent-hash client (``tcp``) of cache
-  servers — either one the driver spawns (``server:``) or standalone ones —
-  so the cache can be shared across portfolio workers in separate processes,
+  in-process (``local``) and a client (``tcp``) of one cache server —
+  either one the driver spawns (``server:``) or a standalone one — so the
+  cache can be shared across portfolio workers in separate processes,
   or on separate machines (see :mod:`repro.distrib`);
 * :class:`~repro.perf.report.PerfReport` — per-phase wall-clock accounting,
   iteration throughput, and cache statistics, surfaced through
@@ -43,7 +43,6 @@ from repro.perf.shared_cache import (
     create_backend,
     drain_connection_pool,
     parse_backend_spec,
-    parse_tcp_cache_url,
 )
 
 __all__ = [
@@ -64,7 +63,6 @@ __all__ = [
     "drain_connection_pool",
     "load_corpus",
     "parse_backend_spec",
-    "parse_tcp_cache_url",
     "permute_unitary",
     "write_corpus",
 ]

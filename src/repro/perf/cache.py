@@ -30,8 +30,8 @@ trace never reaches a resynthesis call.
 
 Storage is pluggable (see :mod:`repro.perf.shared_cache` and
 ``docs/caching.md``): the default ``local`` backend is a private in-process
-LRU, while the ``tcp`` backend (a spawned ``server:`` or network cache
-servers) lets portfolio workers in *separate processes* share one store —
+LRU, while the ``tcp`` backend (a spawned ``server:`` or a network cache
+server) lets portfolio workers in *separate processes* share one store —
 this front end keeps canonicalization, hit verification, per-worker
 counters, and a write-back buffer that batches puts to amortize IPC.
 """
@@ -48,7 +48,6 @@ import numpy as np
 
 from repro.perf.report import CacheStats
 from repro.perf.shared_cache import (
-    DEFAULT_WRITE_BATCH,
     BackendSpec,
     _Entry,
     _entries_match,
@@ -80,11 +79,9 @@ def permute_unitary(unitary: np.ndarray, perm: "tuple[int, ...]") -> np.ndarray:
     return np.transpose(tensor, axes).reshape(dim, dim)
 
 
-#: phase normalization now lives in :mod:`repro.utils.linalg` so the
-#: annealer's BFS memo key can share the exact same pivot rule (the
-#: ``_unitary_key`` unification); kept under the old private name for the
-#: canonicalization call sites below.
-_phase_normalized = phase_normalized
+#: how many pending puts a shared-backend front end buffers before flushing
+#: them to the backend in one ``put_many`` (amortizes IPC)
+_WRITE_BATCH = 8
 
 
 def canonicalize_unitary(
@@ -115,7 +112,7 @@ def canonicalize_unitary(
     # relabeling so the cache still works, just without permutation folding.
     perms = itertools.permutations(range(k)) if k <= 3 else [tuple(range(k))]
     for perm in perms:
-        candidate = _phase_normalized(permute_unitary(unitary, perm))
+        candidate = phase_normalized(permute_unitary(unitary, perm))
         quantized = np.round(candidate, decimals) + 0.0  # +0.0 folds -0.0 into +0.0
         key = quantized.tobytes()
         if best is None or key < best[0]:
@@ -166,14 +163,10 @@ class ResynthesisCache:
         :func:`~repro.perf.parse_backend_spec`), a :class:`BackendSpec`, or a
         ready-made backend object from :mod:`repro.perf.shared_cache`.
         Non-local backends require ``shared=True`` — a cross-process store
-        makes no sense for a cache documented as private.
-    write_batch_size:
-        How many pending puts the write-back buffer accumulates before
-        flushing to a shared backend in one batched ``put_many`` (amortizes
-        IPC).  The buffer also flushes whenever the cache is pickled — i.e.
-        at every exchange-round boundary on the processes backend — and on
-        :meth:`flush`/:meth:`stats`.  Ignored by the local backend, which
-        writes through.
+        makes no sense for a cache documented as private.  A shared backend's
+        puts go through a write-back buffer that flushes every 8 puts in one
+        batched ``put_many``, whenever the cache is pickled, and on
+        :meth:`flush`/:meth:`stats`; the local backend writes through.
     """
 
     def __init__(
@@ -185,19 +178,15 @@ class ResynthesisCache:
         verify_hits: bool = True,
         shared: bool = False,
         backend: "str | object" = "local:",
-        write_batch_size: int = DEFAULT_WRITE_BATCH,
     ) -> None:
         if maxsize < 1:
             raise ValueError("maxsize must be at least 1")
-        if write_batch_size < 1:
-            raise ValueError("write_batch_size must be at least 1")
         self.maxsize = maxsize
         self.decimals = decimals
         self.match_epsilon = match_epsilon
         self.cache_failures = cache_failures
         self.verify_hits = verify_hits
         self.shared = shared
-        self.write_batch_size = write_batch_size
         if isinstance(backend, (str, BackendSpec)):
             spec = parse_backend_spec(backend)
             kind = spec.kind
@@ -319,7 +308,7 @@ class ResynthesisCache:
             self._my_keys.add(key)
             self._write_buffer.append((key, entry))
             self._puts += 1
-            if len(self._write_buffer) >= self.write_batch_size:
+            if len(self._write_buffer) >= _WRITE_BATCH:
                 flush = self._write_buffer
                 self._write_buffer = []
         if flush:
@@ -394,8 +383,8 @@ class ResynthesisCache:
 
         The cache is a memo, never a source of truth — a shared store that
         dies mid-run must cost hit rate, not the run.  (The tcp backend
-        already absorbs its own failures per server; this guard gives any
-        other shared backend the same property.)
+        already absorbs its own failures; this guard gives any other shared
+        backend the same property.)
         """
         try:
             return self.backend.get_many(keys)
@@ -542,7 +531,7 @@ class ResynthesisCache:
                 self.notes.append(
                     f"tcp cache degraded mid-run: {unreachable} unreachable "
                     f"server(s), {dropped} dropped request(s) — lookups on the "
-                    "lost key ranges missed and writes to them were lost"
+                    "lost server missed and writes to it were lost"
                 )
             return CacheStats(
                 token=self.token,

@@ -42,8 +42,8 @@ class CacheStats:
     #: requests a degraded ``tcp`` backend dropped after its server died
     #: mid-run (gets answered as misses, puts silently lost to that server)
     dropped_requests: int = 0
-    #: how many configured ``tcp`` servers this front end's backend has
-    #: marked dead (0 for every other backend)
+    #: 1 when this front end's ``tcp`` backend has marked its server dead
+    #: (0 otherwise, and for every other backend)
     unreachable_servers: int = 0
     #: backend round trips the front end absorbed after a connection-level
     #: failure (shared stores lost mid-run degrade to local misses instead
@@ -129,15 +129,15 @@ class PerfReport:
 
     @property
     def cache_dropped_requests(self) -> int:
-        """Requests degraded backends dropped mid-run (0 = healthy fleet)."""
+        """Requests degraded backends dropped mid-run (0 = healthy server)."""
         return sum(stats.dropped_requests + stats.backend_failures for stats in self.caches)
 
     @property
     def cache_unreachable_servers(self) -> int:
-        """Most cache servers any one front end saw dead mid-run.
+        """1 when any front end saw its cache server die mid-run, else 0.
 
         The max, not the sum: every worker's backend copy watches the *same*
-        server fleet, so summing would count one dead server once per worker.
+        server, so summing would count one dead server once per worker.
         """
         return max((stats.unreachable_servers for stats in self.caches), default=0)
 

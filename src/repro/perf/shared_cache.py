@@ -8,18 +8,17 @@ Two backends cover every execution mode:
 * ``local`` (:class:`LocalBackend`) — the plain in-process ``OrderedDict``
   LRU.  Shareable across serial/thread workers only; a copy that crosses a
   process boundary becomes private.
-* ``tcp`` (:class:`TcpCacheBackend`) — a client of one or more cache-server
-  processes, each serving a :class:`_BucketStore` (true LRU, one lock) over
-  :mod:`repro.rpc`.  ``tcp://host:port[,host:port...]`` names standalone
-  network servers (``python -m repro.distrib.cache_server``), consistent-hash
-  sharded, whose lifetime spans many runs and hosts — this is what lets
-  portfolio runs on *different machines* share synthesis results (see
-  ``docs/distributed.md``).  ``server:`` is the same backend with no
-  addresses: :meth:`BackendSpec.create` spawns a driver-owned server on
-  127.0.0.1 with a fresh random authkey, and the returned handle shuts it
-  down on ``close()``.  An unreachable server at bring-up raises
-  :class:`SharedCacheUnavailable`; a server lost *mid-run* degrades its key
-  range to miss/drop instead of failing the run.
+* ``tcp`` (:class:`TcpCacheBackend`) — a client of one cache-server
+  process serving a :class:`_BucketStore` (true LRU, one lock) over
+  :mod:`repro.rpc`.  ``tcp://host:port`` names a standalone network server
+  (``python -m repro.distrib.cache_server``) whose lifetime spans many runs
+  and hosts — this is what lets portfolio runs on *different machines*
+  share synthesis results (see ``docs/distributed.md``).  ``server:`` is the
+  same backend with no address: :meth:`BackendSpec.create` spawns a
+  driver-owned server on 127.0.0.1 with a fresh random authkey, and the
+  returned handle shuts it down on ``close()``.  An unreachable server at
+  bring-up raises :class:`SharedCacheUnavailable`; a server lost *mid-run*
+  degrades to miss/drop instead of failing the run.
 
 Both backends implement the same small protocol (:class:`CacheBackend`):
 ``get_many`` / ``put_many`` at bucket granularity (the unit the front end
@@ -30,8 +29,6 @@ by any worker can serve any query that canonicalizes to its key.
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import os
 import secrets
 import threading
@@ -48,10 +45,6 @@ from repro.synthesis.resynth import ResynthesisOutcome
 
 BACKEND_KINDS = ("local", "tcp")
 
-#: how many pending puts a front end accumulates before flushing to a shared
-#: backend (amortizes IPC; see ``ResynthesisCache.write_batch_size``)
-DEFAULT_WRITE_BATCH = 8
-
 
 class SharedCacheUnavailable(RuntimeError):
     """A shared backend could not be brought up on this platform."""
@@ -67,8 +60,6 @@ class CacheBackend(Protocol):
 
     #: backend kind tag: ``"local"`` or ``"tcp"``
     kind: str
-    #: whether copies that cross a process boundary still reach this store
-    shared_across_processes: bool
 
     def get_many(self, keys: "list[bytes]") -> "dict[bytes, list[_Entry]]":
         """Fetch the buckets stored under ``keys`` (absent keys omitted)."""
@@ -295,7 +286,6 @@ class LocalBackend(_BucketStore):
     """
 
     kind = "local"
-    shared_across_processes = False
 
     def close(self) -> None:
         """Persist the store if a disk tier is attached; nothing else held."""
@@ -437,7 +427,7 @@ def spawn_cache_server(
 
 
 # --------------------------------------------------------------------------
-# Network cache: consistent-hash client over one or more TCP cache servers.
+# Network cache: a client of one TCP cache server.
 # --------------------------------------------------------------------------
 
 #: default authentication key for TCP cache servers and clients.  This is a
@@ -448,10 +438,6 @@ DEFAULT_TCP_AUTHKEY = b"repro-cache"
 
 TCP_URL_PREFIX = "tcp://"
 
-#: virtual points per server on a :class:`TcpCacheBackend` hash ring; every
-#: client must use the same value to route a key to the same server
-HASH_REPLICAS = 64
-
 
 def tcp_cache_authkey() -> bytes:
     """The TCP cache authkey: ``REPRO_CACHE_AUTHKEY`` or the default."""
@@ -459,161 +445,72 @@ def tcp_cache_authkey() -> bytes:
     return value.encode() if value else DEFAULT_TCP_AUTHKEY
 
 
-def parse_tcp_cache_url(url: str) -> "list[tuple[str, int]]":
-    """Parse ``tcp://host:port,host:port,...`` into ``(host, port)`` pairs.
-
-    Each comma-separated element may repeat the ``tcp://`` prefix (so lists
-    built by joining individual URLs parse too).  Hostnames are kept verbatim
-    for the resolver; ports must be integers.
-    """
-    if not url.startswith(TCP_URL_PREFIX):
-        raise ValueError(f"expected a {TCP_URL_PREFIX}host:port[,host:port...] URL, got {url!r}")
-    servers: "list[tuple[str, int]]" = []
-    for element in url[len(TCP_URL_PREFIX) :].split(","):
-        element = element.strip()
-        if element.startswith(TCP_URL_PREFIX):
-            element = element[len(TCP_URL_PREFIX) :]
-        if not element:
-            continue
-        host, separator, port = element.rpartition(":")
-        if not separator or not host:
-            raise ValueError(f"cache server {element!r} is not host:port (in {url!r})")
-        servers.append((host, int(port)))
-    if not servers:
-        raise ValueError(f"no cache servers in {url!r}")
-    return servers
-
-
 class TcpCacheBackend:
-    """Consistent-hash client over one or more AF_INET cache servers.
+    """Client of one AF_INET cache server.
 
     Speaks the cache server's ``(op, payload)`` protocol over
-    :mod:`repro.rpc` — against standalone network servers
+    :mod:`repro.rpc` — against a standalone network server
     (``python -m repro.distrib.cache_server``), which is what lets portfolio
     runs on *different machines* share one resynthesis store, or against a
-    driver-owned server spawned by the ``server:`` spec.
-
-    Keys are sharded across servers on a consistent-hash ring
-    (:data:`HASH_REPLICAS` virtual points per server, SHA-1 positioned), so every
-    client — on any host — routes a given canonical key to the same server
-    without coordination, and adding a server to the URL list remaps only
-    ``~1/N`` of the key space.  Batched ``get_many``/``put_many`` calls are
-    split per server, so a batch still costs one round trip per *server*
-    touched, not per key.
+    driver-owned server spawned by the ``server:`` spec.  A batched
+    ``get_many``/``put_many`` costs one round trip.
 
     Failure containment: an unreachable server at construction time raises
     :class:`SharedCacheUnavailable` (callers degrade to a local cache); a
-    server that dies *mid-run* has its key range degraded — gets on it miss,
-    puts on it are dropped — and the loss is visible in ``stats()`` as
-    ``unreachable_servers``/``dropped_requests``.  The run keeps its own
-    correctness either way: the cache is a memo, never a source of truth.
+    server that dies *mid-run* degrades the backend — gets miss, puts are
+    dropped — and the loss is visible in ``stats()`` as
+    ``unreachable_servers`` (0 or 1) and ``dropped_requests``.  The run keeps
+    its own correctness either way: the cache is a memo, never a source of
+    truth.
 
-    Network servers are never owned (their lifetime deliberately spans runs
-    and hosts): :meth:`close` only drops this process's pooled connections.
+    A network server is never owned (its lifetime deliberately spans runs
+    and hosts): :meth:`close` only drops this process's pooled connection.
     A backend built from the ``server:`` spec owns the server it spawned and
     shuts it down on :meth:`close`; pickled copies only redial.
     """
 
     kind = "tcp"
-    shared_across_processes = True
 
-    def __init__(
-        self,
-        servers: "list[tuple[str, int]]",
-        authkey: "bytes | None" = None,
-        probe: bool = True,
-    ) -> None:
-        if not servers:
-            raise ValueError("TcpCacheBackend needs at least one (host, port) server")
-        self.servers = [(str(host), int(port)) for host, port in servers]
+    def __init__(self, address: "tuple[str, int]", authkey: "bytes | None" = None) -> None:
+        host, port = address
+        self.address = (str(host), int(port))
         self.authkey = bytes(authkey) if authkey is not None else tcp_cache_authkey()
         self._process = None  # the server this handle owns (``server:`` spec only)
         self._closed = False
-        self._dead: "set[int]" = set()
+        self._dead = False
         self._dropped = 0
         self._stats_lock = threading.Lock()
-        self._build_ring()
-        if probe:
-            self._probe_servers()
-
-    @classmethod
-    def from_url(cls, url: str, authkey: "bytes | None" = None) -> "TcpCacheBackend":
-        """Build a backend from a ``tcp://host:port,...`` URL."""
-        return cls(parse_tcp_cache_url(url), authkey=authkey)
-
-    @property
-    def url(self) -> str:
-        """The canonical ``tcp://`` URL for these servers."""
-        return TCP_URL_PREFIX + ",".join(f"{host}:{port}" for host, port in self.servers)
-
-    # -- consistent hashing --------------------------------------------------
-
-    def _build_ring(self) -> None:
-        """Place :data:`HASH_REPLICAS` virtual points per server on the ring.
-
-        Point positions depend only on the server address (not on list order
-        or count), so every client everywhere computes the same ring.
-        """
-        points: "list[tuple[int, int]]" = []
-        for index, (host, port) in enumerate(self.servers):
-            for replica in range(HASH_REPLICAS):
-                digest = hashlib.sha1(f"{host}:{port}#{replica}".encode()).digest()
-                points.append((int.from_bytes(digest[:8], "big"), index))
-        points.sort()
-        self._ring_positions = [position for position, _ in points]
-        self._ring_servers = [server for _, server in points]
-
-    def _server_for(self, key: bytes) -> int:
-        """Index of the server owning ``key`` (first ring point clockwise)."""
-        position = int.from_bytes(hashlib.sha1(key).digest()[:8], "big")
-        slot = bisect.bisect_right(self._ring_positions, position)
-        if slot == len(self._ring_positions):
-            slot = 0  # wrap around the ring
-        return self._ring_servers[slot]
-
-    def _group_by_server(self, keys) -> "dict[int, list]":
-        grouped: "dict[int, list]" = {}
-        for item in keys:
-            key = item[0] if isinstance(item, tuple) else item
-            grouped.setdefault(self._server_for(key), []).append(item)
-        return grouped
+        try:
+            self._request("ping")
+        except Exception as error:
+            raise SharedCacheUnavailable(
+                f"cache server {host}:{port} unreachable: {error!r}"
+            ) from error
 
     # -- wire ----------------------------------------------------------------
 
-    def _probe_servers(self) -> None:
-        """Fail fast if any configured server is unreachable at bring-up."""
-        for index in range(len(self.servers)):
-            try:
-                self._request(index, "ping")
-            except Exception as error:
-                host, port = self.servers[index]
-                raise SharedCacheUnavailable(
-                    f"cache server {host}:{port} unreachable: {error!r}"
-                ) from error
-
-    def _request(self, server_index: int, op: str, payload=None):
+    def _request(self, op: str, payload=None):
         if self._closed:
             raise RuntimeError("cache backend handle is closed")
-        address = self.servers[server_index]
-        ok, result = rpc.call(address, self.authkey, op, payload)
+        ok, result = rpc.call(self.address, self.authkey, op, payload)
         if not ok:
-            raise RuntimeError(f"cache server {address} rejected {op!r}: {result}")
+            raise RuntimeError(f"cache server {self.address} rejected {op!r}: {result}")
         return result
 
-    def _request_degraded(self, server_index: int, op: str, payload=None, fallback=None):
+    def _request_degraded(self, op: str, payload=None, fallback=None):
         """One request, degrading a dead/dying server to ``fallback``.
 
         :func:`repro.rpc.call` already redials a stale pooled socket and
         retries failed sends, so a connection-level failure that reaches
         here is a lost server: it is marked dead and this and every later
-        request to it counts toward ``dropped_requests``.  Protocol-level
+        request counts toward ``dropped_requests``.  Protocol-level
         rejections still raise.
         """
-        if server_index not in self._dead:
+        if not self._dead:
             try:
-                return self._request(server_index, op, payload)
+                return self._request(op, payload)
             except (OSError, EOFError):
-                self._dead.add(server_index)
+                self._dead = True
         with self._stats_lock:
             self._dropped += 1
         return fallback
@@ -621,88 +518,63 @@ class TcpCacheBackend:
     # -- protocol ------------------------------------------------------------
 
     def get_many(self, keys: "list[bytes]") -> "dict[bytes, list[_Entry]]":
-        found: "dict[bytes, list[_Entry]]" = {}
-        for server_index, server_keys in self._group_by_server(keys).items():
-            reply = self._request_degraded(server_index, "get_many", server_keys, fallback={})
-            found.update(reply)
-        return found
+        return self._request_degraded("get_many", keys, fallback={})
 
     def put_many(self, items: "list[tuple[bytes, _Entry]]") -> None:
-        for server_index, server_items in self._group_by_server(items).items():
-            self._request_degraded(server_index, "put_many", server_items)
+        self._request_degraded("put_many", items)
 
     def synth_batch(self, spec: dict, items: "list[tuple[bytes, np.ndarray]]") -> dict:
-        """Batch synthesis sharded across the ring, degrading dead servers.
+        """Server-side batch synthesis, degrading a dead server.
 
         ``spec`` is a :func:`repro.synthesis.batch.resynthesizer_spec` dict;
-        ``items`` are ``(key, canonical_unitary)`` pairs.  Each item is routed
-        to the server owning its key (the same ring as ``get_many``, so the
-        outcomes land where lookups will find them); the server skips keys
-        already stored, synthesizes the rest in one vectorized pass, and
-        stores the outcomes.  Items owned by a dead server are *not*
-        synthesized remotely — they come back in the ``dropped`` count and
-        the caller falls back to local scalar synthesis for them; a dying
-        fleet costs speed, never a dropped miss.
+        ``items`` are ``(key, canonical_unitary)`` pairs.  The server skips
+        keys already stored, synthesizes the rest in one vectorized pass, and
+        stores the outcomes where lookups will find them.  On a dead server
+        nothing is synthesized remotely — every item comes back in the
+        ``dropped`` count and the caller falls back to local scalar
+        synthesis; a dead server costs speed, never a dropped miss.
         """
         totals = {"received": 0, "present": 0, "synthesized": 0, "failures": 0, "dropped": 0}
-        for server_index, server_items in self._group_by_server(items).items():
-            reply = self._request_degraded(
-                server_index, "synth_batch", (spec, server_items), fallback=None
-            )
-            if reply is None:
-                totals["dropped"] += len(server_items)
-                continue
-            for field_name in ("received", "present", "synthesized", "failures"):
-                totals[field_name] += int(reply.get(field_name, 0))
+        reply = self._request_degraded("synth_batch", (spec, items))
+        if reply is None:
+            totals["dropped"] = len(items)
+            return totals
+        for field_name in ("received", "present", "synthesized", "failures"):
+            totals[field_name] = int(reply.get(field_name, 0))
         return totals
 
     def stats(self) -> dict:
-        totals = {"entries": 0, "puts": 0, "evictions": 0, "negative_entries": 0}
-        persist_notes: "list[str]" = []
-        for server_index in range(len(self.servers)):
-            reply = self._request_degraded(server_index, "stats", fallback=None)
-            if reply:
-                for field_name in totals:
-                    totals[field_name] += int(reply.get(field_name, 0))
-                if "persist_loaded_entries" in reply:
-                    totals["persist_loaded_entries"] = totals.get(
-                        "persist_loaded_entries", 0
-                    ) + int(reply["persist_loaded_entries"])
-                # Persistence anomalies (corrupt corpus, failed writes) are
-                # recorded server-side; forward them so clients can surface
-                # them in PerfReport.notes.
-                for note in reply.get("persist_notes", ()) or ():
-                    if note not in persist_notes:
-                        persist_notes.append(note)
-        if persist_notes:
-            totals["persist_notes"] = persist_notes
+        reply = self._request_degraded("stats") or {}
+        totals = {
+            field_name: int(reply.get(field_name, 0))
+            for field_name in ("entries", "puts", "evictions", "negative_entries")
+        }
+        if "persist_loaded_entries" in reply:
+            totals["persist_loaded_entries"] = int(reply["persist_loaded_entries"])
+        # Persistence anomalies (corrupt corpus, failed writes) are recorded
+        # server-side; forward them so clients can surface them in
+        # PerfReport.notes.
+        if reply.get("persist_notes"):
+            totals["persist_notes"] = list(reply["persist_notes"])
         with self._stats_lock:
-            totals["unreachable_servers"] = len(self._dead)
+            totals["unreachable_servers"] = int(self._dead)
             totals["dropped_requests"] = self._dropped
         return totals
 
     def clear(self) -> None:
-        for server_index in range(len(self.servers)):
-            self._request_degraded(server_index, "clear")
+        self._request_degraded("clear")
 
     def __len__(self) -> int:
-        total = 0
-        for server_index in range(len(self.servers)):
-            reply = self._request_degraded(server_index, "len", fallback=0)
-            total += int(reply or 0)
-        return total
+        return int(self._request_degraded("len", fallback=0) or 0)
 
     def ping(self) -> bool:
-        """True when every configured server answers (dead ones count as no)."""
-        return all(
-            self._request_degraded(index, "ping", fallback=None) == "pong"
-            for index in range(len(self.servers))
-        )
+        """True when the server answers (a dead one counts as no)."""
+        return self._request_degraded("ping") == "pong"
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Drop this process's pooled connections; shut an owned server down.
+        """Drop this process's pooled connection; shut an owned server down.
 
         Idempotent, so lifecycle code (portfolio exit paths, host agents,
         ``finally`` blocks) can all call it without coordinating.
@@ -712,7 +584,7 @@ class TcpCacheBackend:
         process, self._process = self._process, None
         if process is not None:
             try:
-                self._request(0, "shutdown")
+                self._request("shutdown")
             except (OSError, EOFError, RuntimeError):
                 pass  # server already gone
             process.join(timeout=10.0)
@@ -720,8 +592,7 @@ class TcpCacheBackend:
                 process.terminate()
                 process.join(timeout=5.0)
         self._closed = True
-        for address in self.servers:
-            rpc.drop(address, self.authkey)
+        rpc.drop(self.address, self.authkey)
 
     # -- pickling (workers redial through the per-process pool) --------------
 
@@ -730,7 +601,7 @@ class TcpCacheBackend:
         del state["_stats_lock"]
         state["_process"] = None
         state["_closed"] = False
-        state["_dead"] = set()
+        state["_dead"] = False
         state["_dropped"] = 0
         return state
 
@@ -745,17 +616,18 @@ SPEC_QUERY_KEYS = ("store", "flush_every", "maxsize", "match_epsilon")
 _SPEC_GRAMMAR = (
     "local:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X] | "
     "server:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X] | "
-    "tcp://host:port[,host:port...][?maxsize=N&match_epsilon=X]"
+    "tcp://host:port[?maxsize=N&match_epsilon=X]"
 )
 
-def _reject_store_path(servers, store_path, source: str) -> None:
-    """The up-front store-path guard: a client of network servers owns no store.
+
+def _reject_store_path(address, store_path, source: str) -> None:
+    """The up-front store-path guard: a client of a network server owns no store.
 
     Raised *before* any backend machinery is touched, naming the offending
     spec string — a network cache server persists via
     ``--cache 'local:?store=...'`` on the server side instead.
     """
-    if store_path is not None and servers:
+    if store_path is not None and address is not None:
         raise ValueError(
             f"store_path applies to the cache server, not the tcp client "
             f"(spec {source!r}); start the server with --cache 'local:?store=PATH' instead"
@@ -772,14 +644,14 @@ class BackendSpec:
     ``canonical`` renders the URL form back out; :meth:`create`
     materializes the backend.
 
-    ``kind`` is ``"local"`` or ``"tcp"``.  A ``tcp`` spec without
-    ``servers`` (spelled ``server:``) spawns a driver-owned cache server on
+    ``kind`` is ``"local"`` or ``"tcp"``.  A ``tcp`` spec without an
+    ``address`` (spelled ``server:``) spawns a driver-owned cache server on
     127.0.0.1 at :meth:`create` time.  Optional fields left as ``None`` fall
     back to the defaults supplied at :meth:`create` time.
     """
 
     kind: str
-    servers: "tuple[tuple[str, int], ...]" = ()
+    address: "tuple[str, int] | None" = None
     store_path: "str | None" = None
     flush_interval: "int | None" = None
     maxsize: "int | None" = None
@@ -789,8 +661,8 @@ class BackendSpec:
     @property
     def canonical(self) -> str:
         """The canonical URL spelling of this spec."""
-        if self.servers:
-            base = TCP_URL_PREFIX + ",".join(f"{host}:{port}" for host, port in self.servers)
+        if self.address is not None:
+            base = f"{TCP_URL_PREFIX}{self.address[0]}:{self.address[1]}"
         else:
             base = "server:" if self.kind == "tcp" else f"{self.kind}:"
         query = []
@@ -824,7 +696,7 @@ class BackendSpec:
         if self.flush_interval is not None:
             flush_interval = self.flush_interval
         source = self.source or self.canonical
-        _reject_store_path(self.servers, store_path, source)
+        _reject_store_path(self.address, store_path, source)
         if self.kind == "local":
             return LocalBackend(
                 maxsize=maxsize,
@@ -834,8 +706,8 @@ class BackendSpec:
             )
         process = None
         try:
-            if self.servers:
-                return TcpCacheBackend(list(self.servers))
+            if self.address is not None:
+                return TcpCacheBackend(self.address)
             authkey = secrets.token_bytes(16)
             process, address = spawn_cache_server(
                 "127.0.0.1",
@@ -846,7 +718,7 @@ class BackendSpec:
                 store_path=store_path,
                 flush_interval=flush_interval,
             )
-            backend = TcpCacheBackend([address], authkey=authkey)
+            backend = TcpCacheBackend(address, authkey=authkey)
             backend._process = process
             return backend
         except Exception as error:
@@ -899,13 +771,13 @@ def parse_backend_spec(spec, parameter: "str | None" = None) -> BackendSpec:
 
         local:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X]
         server:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X]
-        tcp://host:port[,host:port...][?maxsize=N&match_epsilon=X]
+        tcp://host:port[?maxsize=N&match_epsilon=X]
 
     Validation is up-front: anything else — bare kind names, ``True``,
-    malformed specs, unknown query keys, ``store`` on a client of network
-    servers — raises naming the offending spec (and ``parameter``, the
-    user-facing argument it came in through, when given) before any
-    machinery is touched.
+    malformed specs, a ``tcp://`` URL naming more than one server, unknown
+    query keys, ``store`` on a client of a network server — raises naming
+    the offending spec (and ``parameter``, the user-facing argument it came
+    in through, when given) before any machinery is touched.
     """
     if isinstance(spec, BackendSpec):
         return spec
@@ -917,10 +789,13 @@ def parse_backend_spec(spec, parameter: "str | None" = None) -> BackendSpec:
     source = spec
     if spec.startswith(TCP_URL_PREFIX):
         base, _, query = spec.partition("?")
+        host, separator, port = base[len(TCP_URL_PREFIX) :].rpartition(":")
+        if not separator or not host or "," in host or not port.isdigit():
+            raise ValueError(f"unrecognized backend spec {named}; expected {_SPEC_GRAMMAR}")
+        address = (host, int(port))
         values = _parse_spec_query(query, source)
-        servers = tuple(parse_tcp_cache_url(base))
-        _reject_store_path(servers, values.get("store_path"), source)
-        return BackendSpec(kind="tcp", servers=servers, source=source, **values)
+        _reject_store_path(address, values.get("store_path"), source)
+        return BackendSpec(kind="tcp", address=address, source=source, **values)
     kind, separator, rest = spec.partition(":")
     if separator and kind in ("local", "server") and (not rest or rest[0] == "?"):
         values = _parse_spec_query(rest[1:], source)
@@ -940,18 +815,18 @@ def create_backend(
 
     A thin shim over :func:`parse_backend_spec` + :meth:`BackendSpec.create`:
     ``kind`` is a spec string (``"local:"``, ``"server:"``,
-    ``"tcp://host:port[,...]?..."``) or a :class:`BackendSpec`.  Keyword
+    ``"tcp://host:port?..."``) or a :class:`BackendSpec`.  Keyword
     arguments are fallbacks for anything the spec's query string doesn't pin.
 
     ``local`` always succeeds; ``server:`` needs working subprocess/socket
-    machinery and ``tcp://`` needs reachable network cache servers, so any
+    machinery and ``tcp://`` needs a reachable network cache server, so any
     bring-up failure is wrapped in :class:`SharedCacheUnavailable` for
     callers to catch and degrade.
 
     ``store_path`` attaches the crash-safe disk tier (``docs/caching.md``,
     "Persistence tier") to the backends that own a store: ``local`` reloads
     on construction and persists on ``close()``; ``server:`` hands the path
-    to its spawned server.  A client of network servers owns no store, so
+    to its spawned server.  A client of a network server owns no store, so
     that combination is rejected up front with an error naming the spec.
     """
     spec = parse_backend_spec(kind)
@@ -968,7 +843,6 @@ __all__ = [
     "BackendSpec",
     "CacheBackend",
     "DEFAULT_TCP_AUTHKEY",
-    "DEFAULT_WRITE_BATCH",
     "LocalBackend",
     "SPEC_QUERY_KEYS",
     "SharedCacheUnavailable",
@@ -976,6 +850,5 @@ __all__ = [
     "create_backend",
     "drain_connection_pool",
     "parse_backend_spec",
-    "parse_tcp_cache_url",
     "tcp_cache_authkey",
 ]

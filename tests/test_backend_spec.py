@@ -1,9 +1,10 @@
 """Tests for the unified cache/backend spec API (``parse_backend_spec``).
 
 The contract: every cache-configuration surface speaks one grammar,
-``server:`` is a ``tcp`` spec with no addresses, and everything else —
+``server:`` is a ``tcp`` spec with no address, and everything else —
 ``True``, bare kind names, the retired ``shm:`` spelling, malformed specs,
-``store`` on a client of network servers — fails up front with an error
+a ``tcp://`` URL naming more than one server, ``store`` on a client of a
+network server — fails up front with an error
 naming the offending spec string and the grammar.
 """
 
@@ -20,7 +21,7 @@ class TestGrammar:
         with pytest.raises(ValueError, match=r"unrecognized backend spec 'shm:'.*expected local:"):
             parse_backend_spec("shm:")
         spec = parse_backend_spec("server:?maxsize=8")
-        assert spec.kind == "tcp" and spec.servers == ()
+        assert spec.kind == "tcp" and spec.address is None
         assert spec.canonical == "server:?maxsize=8"
 
     def test_backend_spec_passes_through(self):
@@ -35,9 +36,9 @@ class TestGrammar:
         assert spec.maxsize == 99
 
     def test_tcp_url_with_servers_and_query(self):
-        spec = parse_backend_spec("tcp://a:1,b:2?maxsize=33&match_epsilon=1e-6")
+        spec = parse_backend_spec("tcp://a:1?maxsize=33&match_epsilon=1e-6")
         assert spec.kind == "tcp"
-        assert spec.servers == (("a", 1), ("b", 2))
+        assert spec.address == ("a", 1)
         assert spec.maxsize == 33
         assert spec.match_epsilon == pytest.approx(1e-6)
 
@@ -67,6 +68,7 @@ class TestGrammar:
             "shm:?maxsize=notanumber",
             "server:?maxsize=notanumber",
             "server:?stripes=2",  # stripes left the grammar with the shm backend
+            "tcp://a:1,b:2",  # one server per tcp:// URL
         ],
     )
     def test_malformed_specs_raise_naming_the_spec(self, bad):
@@ -150,10 +152,36 @@ class TestSpecRouting:
         with pytest.raises(ValueError, match=r"'shm:\?maxsize=3'.*server:"):
             parse_backend_spec("shm:?maxsize=3")
 
+    def test_multi_address_url_is_rejected_on_every_surface(self, capsys):
+        from repro.core import rewrite_transformations
+        from repro.distrib import cache_server, coordinator
+        from repro.gatesets import CLIFFORD_T
+        from repro.parallel import PortfolioOptimizer
+        from repro.rewrite import rules_for_gate_set
+        from repro.serve import JobServer
+
+        bad = "tcp://a:1,b:2"
+        optimizer = PortfolioOptimizer(
+            rewrite_transformations(rules_for_gate_set(CLIFFORD_T)),
+            share_resynthesis_cache=bad,
+        )
+        with pytest.raises(
+            ValueError, match=r"share_resynthesis_cache='tcp://a:1,b:2'.*expected local:"
+        ):
+            optimizer._open_shared_cache()
+        with pytest.raises(ValueError, match=r"'tcp://a:1,b:2'.*expected local:"):
+            ResynthesisCache(shared=True, backend=bad)
+        with pytest.raises(ValueError, match=r"'tcp://a:1,b:2'.*expected local:"):
+            JobServer(cache=bad)
+        for cli in (coordinator.main, cache_server.main):
+            with pytest.raises(SystemExit):
+                cli(["--port", "0", "--cache", bad])
+            assert "'tcp://a:1,b:2'; expected local:" in capsys.readouterr().err
+
     def test_spec_is_picklable_for_job_records(self):
         import pickle
 
-        spec = parse_backend_spec("tcp://h:1,i:2?maxsize=4")
+        spec = parse_backend_spec("tcp://h:1?maxsize=4")
         assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_spec_equality_ignores_source_in_job_grouping(self):

@@ -63,7 +63,6 @@ class FaultyBackend:
     """
 
     kind = "tcp"
-    shared_across_processes = True
 
     def __init__(self, fail_after: int = 0) -> None:
         self.inner = LocalBackend(maxsize=64)
@@ -101,10 +100,7 @@ class TestFrontEndDegradation:
 
     def _cache(self, fail_after: int = 0) -> ResynthesisCache:
         return ResynthesisCache(
-            maxsize=64,
-            shared=True,
-            backend=FaultyBackend(fail_after=fail_after),
-            write_batch_size=1,
+            maxsize=64, shared=True, backend=FaultyBackend(fail_after=fail_after)
         )
 
     def test_lookup_on_dead_backend_is_a_miss_not_a_crash(self):
@@ -117,6 +113,7 @@ class TestFrontEndDegradation:
         cache = self._cache()
         block = cnot_conjugated_rz()
         cache.put(block.unitary(), ResynthesisOutcome(Circuit(2).rzz(0.5, 0, 1), 0.0, 0.0))
+        cache.flush()
         assert cache.stats().backend_failures >= 1
 
     def test_own_l1_entries_survive_the_backend_death(self):
@@ -126,6 +123,7 @@ class TestFrontEndDegradation:
         cache = self._cache(fail_after=1)
         block = cnot_conjugated_rz(0.3)
         cache.put(block.unitary(), ResynthesisOutcome(Circuit(2).rzz(0.3, 0, 1), 0.0, 0.0))
+        cache.flush()
         hit, _ = cache.get(block.unitary(), epsilon=EPS)
         assert hit, "own entries must keep hitting from L1 after the store dies"
         hit, _ = cache.get(cnot_conjugated_rz(0.7).unitary(), epsilon=EPS)
@@ -153,9 +151,7 @@ class TestBatchDispatchFaults:
     """A server-side batch synthesis job on a dead server degrades, never raises."""
 
     def _resynthesizer(self, backend):
-        cache = ResynthesisCache(
-            maxsize=64, shared=True, backend=backend, write_batch_size=1
-        )
+        cache = ResynthesisCache(maxsize=64, shared=True, backend=backend)
         return CliffordTResynthesizer(
             epsilon=EPS, bfs_depth=4, anneal_iterations=20, anneal_restarts=1, rng=9
         ).attach_cache(cache)
@@ -164,7 +160,7 @@ class TestBatchDispatchFaults:
         from repro.synthesis.batch import resynthesizer_spec
 
         process, address = start_tcp_cache_server(maxsize=64)
-        backend = TcpCacheBackend([address])
+        backend = TcpCacheBackend(address)
         os.kill(process.pid, signal.SIGKILL)
         process.join(timeout=10.0)
         try:
@@ -197,11 +193,11 @@ def _clifford_t_transformations():
 
 
 class TestFlakyTcpServer:
-    """A cache server killed mid-run degrades its key range — and says so."""
+    """A cache server killed mid-run degrades the backend — and says so."""
 
     def test_mid_run_server_death_degrades_and_surfaces(self):
         process, address = start_tcp_cache_server(maxsize=64)
-        cache = ResynthesisCache(shared=True, backend=TcpCacheBackend([address]))
+        cache = ResynthesisCache(shared=True, backend=TcpCacheBackend(address))
         try:
             block = cnot_conjugated_rz()
             cache.put(block.unitary(), ResynthesisOutcome(Circuit(2).rzz(0.5, 0, 1), 0.0, 0.0))
@@ -224,7 +220,7 @@ class TestFlakyTcpServer:
         # cache round trip of the whole portfolio is shed — and the run must
         # still complete, with the loss visible on the result object.
         process, address = start_tcp_cache_server(maxsize=64)
-        backend = TcpCacheBackend([address])
+        backend = TcpCacheBackend(address)
         os.kill(process.pid, signal.SIGKILL)
         process.join(timeout=10.0)
         cache = ResynthesisCache(shared=True, backend=backend)
@@ -423,7 +419,7 @@ class TestCoordinatorHygiene:
         import multiprocessing
 
         process, address = start_tcp_cache_server(maxsize=64)
-        backend = TcpCacheBackend([address])
+        backend = TcpCacheBackend(address)
         try:
             assert backend.ping()
             assert _CONNECTIONS, "the ping should have pooled a connection"

@@ -17,13 +17,12 @@ from repro.core import (
 )
 from repro.gatesets import CLIFFORD_T
 from repro.perf import ResynthesisCache, canonicalize_unitary, permute_unitary
-from repro.perf.cache import _phase_normalized
 from repro.perf.shared_cache import LocalBackend, _entries_match
 from repro.rewrite import rules_for_gate_set
 from repro.suite.generators import random_clifford_t
 from repro.synthesis import CliffordTResynthesizer
 from repro.synthesis.resynth import ResynthesisOutcome
-from repro.utils.linalg import hilbert_schmidt_distance
+from repro.utils.linalg import hilbert_schmidt_distance, phase_normalized
 
 EPS = 1e-6
 
@@ -61,8 +60,8 @@ class TestCanonicalization:
         # Hadamard-heavy unitaries have many same-magnitude entries; the
         # pivot must not jump between them when a global phase is applied.
         unitary = Circuit(2).h(0).h(1).cx(0, 1).unitary()
-        base = _phase_normalized(unitary)
-        shifted = _phase_normalized(np.exp(1j * 1.3) * unitary)
+        base = phase_normalized(unitary)
+        shifted = phase_normalized(np.exp(1j * 1.3) * unitary)
         assert np.allclose(base, shifted, atol=1e-12)
 
     def test_distinct_contents_get_distinct_keys(self):
@@ -281,7 +280,6 @@ class _CountingSharedBackend(LocalBackend):
     """
 
     kind = "tcp"
-    shared_across_processes = True
 
     def __init__(self) -> None:
         super().__init__(maxsize=128)

@@ -270,7 +270,7 @@ class TestServerPersistence:
             maxsize=64, store_path=path, flush_interval=1
         )
         try:
-            cache = ResynthesisCache(shared=True, backend=TcpCacheBackend([address]))
+            cache = ResynthesisCache(shared=True, backend=TcpCacheBackend(address))
             cache.put(block.unitary(), ResynthesisOutcome(replacement, 0.0, 0.0))
             cache.flush()
             cache.close()
@@ -279,7 +279,7 @@ class TestServerPersistence:
             process.join(timeout=10.0)
         restarted, address = start_tcp_cache_server(maxsize=64, store_path=path)
         try:
-            warm = ResynthesisCache(shared=True, backend=TcpCacheBackend([address]))
+            warm = ResynthesisCache(shared=True, backend=TcpCacheBackend(address))
             hit, outcome = warm.get(block.unitary(), epsilon=EPS)
             assert hit, "the restarted server must serve the pre-crash entry"
             assert circuit_fingerprint(outcome.circuit) == circuit_fingerprint(replacement)
@@ -304,7 +304,7 @@ class TestServerPersistence:
         process, address = start_tcp_cache_server(
             maxsize=64, store_path=path, flush_interval=10_000
         )
-        backend = TcpCacheBackend([address])
+        backend = TcpCacheBackend(address)
         try:
             backend.put_many([(key, entry)])
             assert key in backend.get_many([key])
@@ -323,7 +323,7 @@ class TestServerPersistence:
         path.write_bytes(b"\x00garbage\xff" * 64)
         process, address = start_tcp_cache_server(maxsize=64, store_path=path)
         try:
-            backend = TcpCacheBackend([address])
+            backend = TcpCacheBackend(address)
             assert backend.ping()
             assert backend.get_many([b"anything"]) == {}
             stats = backend.stats()

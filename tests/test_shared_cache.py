@@ -160,7 +160,7 @@ class TestBackendSemantics:
 
     @pytest.mark.parametrize("kind", BACKEND_FIXTURES)
     def test_eviction_bounds_shared_store(self, kind):
-        cache = _shared_cache(kind, write_batch_size=1)
+        cache = _shared_cache(kind)
         try:
             # the server's store bound is fixed at start time; re-create small
             for index in range(8):
@@ -176,7 +176,7 @@ class TestBackendSemantics:
             backend = create_backend("server:?maxsize=4")
         except SharedCacheUnavailable as error:  # pragma: no cover
             pytest.skip(f"server backend unavailable here: {error}")
-        cache = ResynthesisCache(maxsize=4, shared=True, backend=backend, write_batch_size=1)
+        cache = ResynthesisCache(maxsize=4, shared=True, backend=backend)
         try:
             for index in range(8):
                 cache.put(Circuit(1).rz(0.1 + index, 0).unitary(), None)
@@ -201,7 +201,7 @@ class TestBackendSemantics:
             cache.close()
 
     def test_refresh_to_success_updates_negative_count(self):
-        cache = _shared_cache("server:", write_batch_size=1)
+        cache = _shared_cache("server:")
         try:
             block = cnot_conjugated_rz(0, 1)
             cache.put(block.unitary(), None)
@@ -231,7 +231,7 @@ class TestBackendSemantics:
             return b"colliding-key", perm, canonical
 
         monkeypatch.setattr(cache_module, "canonicalize_unitary", colliding)
-        cache = _shared_cache(kind, write_batch_size=64, verify_hits=False)
+        cache = _shared_cache(kind, verify_hits=False)
         try:
             sibling = pickle.loads(pickle.dumps(cache))
             block = cnot_conjugated_rz(0, 1)
@@ -410,24 +410,21 @@ class TestDowngradeReporting:
 
 
 # --------------------------------------------------------------------------
-# TCP backend: consistent-hash sharding over network cache servers.
+# TCP backend: a client of one network cache server.
 # --------------------------------------------------------------------------
 
 
 @pytest.fixture
-def tcp_servers():
-    """Two live TCP cache servers; terminated after the test."""
+def tcp_server():
+    """One live TCP cache server's address; terminated after the test."""
     from repro.distrib import start_tcp_cache_server
 
-    servers = []
+    process, address = start_tcp_cache_server(maxsize=64)
     try:
-        for _ in range(2):
-            servers.append(start_tcp_cache_server(maxsize=64))
-        yield [address for _, address in servers]
+        yield address
     finally:
-        for process, _ in servers:
-            process.terminate()
-            process.join(timeout=10.0)
+        process.terminate()
+        process.join(timeout=10.0)
 
 
 def _tcp_entry(angle: float = 0.5) -> "tuple[bytes, _Entry]":
@@ -437,10 +434,10 @@ def _tcp_entry(angle: float = 0.5) -> "tuple[bytes, _Entry]":
 
 
 class TestTcpCacheBackend:
-    def test_roundtrip_and_stats_across_servers(self, tcp_servers):
+    def test_roundtrip_and_stats(self, tcp_server):
         from repro.perf import TcpCacheBackend
 
-        backend = TcpCacheBackend(tcp_servers)
+        backend = TcpCacheBackend(tcp_server)
         try:
             items = [_tcp_entry(angle / 10.0) for angle in range(20)]
             backend.put_many(items)
@@ -453,29 +450,6 @@ class TestTcpCacheBackend:
         finally:
             backend.close()
 
-    def test_keys_shard_across_both_servers(self, tcp_servers):
-        from repro.perf import TcpCacheBackend
-
-        backend = TcpCacheBackend(tcp_servers)
-        try:
-            owners = {
-                backend._server_for(f"spread-{index}".encode())
-                for index in range(64)
-            }
-            assert owners == {0, 1}, "64 keys should touch both servers"
-        finally:
-            backend.close()
-
-    def test_ring_is_independent_of_server_order(self, tcp_servers):
-        from repro.perf import TcpCacheBackend
-
-        forward = TcpCacheBackend(tcp_servers, probe=False)
-        backward = TcpCacheBackend(list(reversed(tcp_servers)), probe=False)
-        keys = [f"route-{index}".encode() for index in range(32)]
-        routed_forward = [forward.servers[forward._server_for(k)] for k in keys]
-        routed_backward = [backward.servers[backward._server_for(k)] for k in keys]
-        assert routed_forward == routed_backward
-
     def test_unreachable_server_raises_unavailable(self):
         from repro.perf import create_backend
 
@@ -483,23 +457,20 @@ class TestTcpCacheBackend:
             create_backend("tcp://127.0.0.1:1")
 
     def test_url_parsing(self):
-        from repro.perf import parse_tcp_cache_url
+        from repro.perf import parse_backend_spec
 
-        assert parse_tcp_cache_url("tcp://a:1,b:2") == [("a", 1), ("b", 2)]
-        assert parse_tcp_cache_url("tcp://a:1,tcp://b:2") == [("a", 1), ("b", 2)]
-        with pytest.raises(ValueError):
-            parse_tcp_cache_url("shm")
-        with pytest.raises(ValueError):
-            parse_tcp_cache_url("tcp://")
-        with pytest.raises(ValueError):
-            parse_tcp_cache_url("tcp://noport")
+        assert parse_backend_spec("tcp://a:1").address == ("a", 1)
+        assert parse_backend_spec("tcp://10.0.0.7:8799").address == ("10.0.0.7", 8799)
+        for bad in ("tcp://a:1,b:2", "tcp://a:1,tcp://b:2", "tcp://", "tcp://noport"):
+            with pytest.raises(ValueError, match=r"unrecognized backend spec.*expected local:"):
+                parse_backend_spec(bad)
 
-    def test_dead_server_degrades_to_miss_and_drop(self, tcp_servers):
+    def test_dead_server_degrades_to_miss_and_drop(self):
         from repro.distrib import start_tcp_cache_server
         from repro.perf import TcpCacheBackend
 
         process, address = start_tcp_cache_server(maxsize=64)
-        backend = TcpCacheBackend([address])
+        backend = TcpCacheBackend(address)
         try:
             key, entry = _tcp_entry()
             backend.put_many([(key, entry)])
@@ -514,10 +485,10 @@ class TestTcpCacheBackend:
         finally:
             backend.close()
 
-    def test_pickled_copy_redials_and_shares(self, tcp_servers):
+    def test_pickled_copy_redials_and_shares(self, tcp_server):
         from repro.perf import TcpCacheBackend
 
-        backend = TcpCacheBackend(tcp_servers)
+        backend = TcpCacheBackend(tcp_server)
         copy = pickle.loads(pickle.dumps(backend))
         try:
             key, entry = _tcp_entry()
@@ -527,27 +498,23 @@ class TestTcpCacheBackend:
             backend.close()
             copy.close()
 
-    def test_close_is_idempotent_and_leaves_servers_up(self, tcp_servers):
+    def test_close_is_idempotent_and_leaves_servers_up(self, tcp_server):
         from repro.perf import TcpCacheBackend
 
-        backend = TcpCacheBackend(tcp_servers)
+        backend = TcpCacheBackend(tcp_server)
         backend.close()
         backend.close()
-        probe = TcpCacheBackend(tcp_servers)
+        probe = TcpCacheBackend(tcp_server)
         try:
             assert probe.ping()
         finally:
             probe.close()
 
-    def test_front_end_counts_cross_client_hits_as_remote(self, tcp_servers):
+    def test_front_end_counts_cross_client_hits_as_remote(self, tcp_server):
         from repro.perf import TcpCacheBackend
 
-        writer = ResynthesisCache(
-            maxsize=32, shared=True, backend=TcpCacheBackend(tcp_servers)
-        )
-        reader = ResynthesisCache(
-            maxsize=32, shared=True, backend=TcpCacheBackend(tcp_servers)
-        )
+        writer = ResynthesisCache(maxsize=32, shared=True, backend=TcpCacheBackend(tcp_server))
+        reader = ResynthesisCache(maxsize=32, shared=True, backend=TcpCacheBackend(tcp_server))
         block = cnot_conjugated_rz(0, 1)
         try:
             writer.put(
@@ -587,28 +554,36 @@ class TestConnectionPoolLifecycle:
         except SharedCacheUnavailable as error:  # pragma: no cover
             pytest.skip(f"server backend unavailable here: {error}")
         assert backend.ping()
-        pool_key = _pool_key(backend.servers[0], backend.authkey)
+        pool_key = _pool_key(backend.address, backend.authkey)
         assert pool_key in _CONNECTIONS
         backend.close()
         assert pool_key not in _CONNECTIONS
 
-    def test_drain_connection_pool_closes_everything(self, tcp_servers):
+    def test_drain_connection_pool_closes_everything(self, tcp_server):
         from repro.perf import TcpCacheBackend, drain_connection_pool
         from repro.rpc import _CONNECTIONS
 
-        backend = TcpCacheBackend(tcp_servers)
-        assert backend.ping()
-        assert len(_CONNECTIONS) >= 2
-        drained = drain_connection_pool()
-        assert drained >= 2
-        assert not _CONNECTIONS
-        assert backend.ping()  # next request simply redials
-        backend.close()
+        # Two backends on two different servers pool two connections.
+        try:
+            owned = create_backend("server:?maxsize=8")
+        except SharedCacheUnavailable as error:  # pragma: no cover
+            pytest.skip(f"server backend unavailable here: {error}")
+        backend = TcpCacheBackend(tcp_server)
+        try:
+            assert backend.ping() and owned.ping()
+            assert len(_CONNECTIONS) >= 2
+            drained = drain_connection_pool()
+            assert drained >= 2
+            assert not _CONNECTIONS
+            assert backend.ping()  # next request simply redials
+        finally:
+            backend.close()
+            owned.close()
 
-    def test_closed_handle_refuses_requests(self, tcp_servers):
+    def test_closed_handle_refuses_requests(self, tcp_server):
         from repro.perf import TcpCacheBackend
 
-        backend = TcpCacheBackend(tcp_servers)
+        backend = TcpCacheBackend(tcp_server)
         backend.close()
         with pytest.raises(RuntimeError, match="closed"):
             backend.stats()
@@ -618,7 +593,7 @@ class TestConnectionPoolLifecycle:
         from repro.perf import TcpCacheBackend
 
         process, address = start_tcp_cache_server(maxsize=64)
-        backend = TcpCacheBackend([address])
+        backend = TcpCacheBackend(address)
         restarted = None
         try:
             key, entry = _tcp_entry()
