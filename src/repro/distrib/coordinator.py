@@ -68,6 +68,7 @@ from repro.distrib.plan import (
     validate_job_cases,
 )
 from repro.distrib.worker import distrib_authkey
+from repro.parallel.portfolio import settings_from_args
 from repro.perf.report import PerfReport
 
 
@@ -681,17 +682,19 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--replicas", type=int, default=1, help="independent runs per case")
     parser.add_argument("--shards", type=int, default=2, help="work units to split the plan into")
     parser.add_argument("--seed", type=int, default=None, help="root seed (None = entropy)")
-    parser.add_argument("--gate-set", default="clifford+t")
-    parser.add_argument("--objective", default="ftqc", choices=["nisq", "ftqc", "2q"])
     parser.add_argument("--no-lower", action="store_true", help="skip lowering to the gate set")
-    parser.add_argument("--epsilon", type=float, default=1e-6)
-    parser.add_argument("--max-iterations", type=int, default=60)
-    parser.add_argument("--num-workers", type=int, default=2, help="portfolio workers per run")
-    parser.add_argument("--exchange-interval", type=int, default=50)
-    parser.add_argument("--backend", default="serial", help="per-host portfolio backend")
-    parser.add_argument("--resynthesis-probability", type=float, default=0.015)
-    parser.add_argument("--synthesis-time-budget", type=float, default=0.5)
-    parser.add_argument("--no-resynthesis", action="store_true")
+    # Search flags default to DistributedJob's own defaults (absent unless given).
+    settings = parser.add_argument_group("search settings", argument_default=argparse.SUPPRESS)
+    settings.add_argument("--gate-set")
+    settings.add_argument("--objective", choices=["nisq", "ftqc", "2q"])
+    settings.add_argument("--epsilon", dest="epsilon_budget", type=float)
+    settings.add_argument("--max-iterations", type=int)
+    settings.add_argument("--num-workers", type=int, help="portfolio workers per run")
+    settings.add_argument("--exchange-interval", type=int)
+    settings.add_argument("--backend", help="per-host portfolio backend")
+    settings.add_argument("--resynthesis-probability", type=float)
+    settings.add_argument("--synthesis-time-budget", type=float)
+    settings.add_argument("--no-resynthesis", dest="include_resynthesis", action="store_false")
     parser.add_argument(
         "--cross-exchange",
         action="store_true",
@@ -728,19 +731,10 @@ def main(argv: "list[str] | None" = None) -> int:
     job = DistributedJob(
         suite=args.suite,
         scale=args.scale,
-        gate_set=args.gate_set,
-        objective=args.objective,
         lower=not args.no_lower,
-        epsilon_budget=args.epsilon,
-        max_iterations=args.max_iterations,
-        num_workers=args.num_workers,
-        exchange_interval=args.exchange_interval,
-        backend=args.backend,
-        include_resynthesis=not args.no_resynthesis,
-        synthesis_time_budget=args.synthesis_time_budget,
-        resynthesis_probability=args.resynthesis_probability,
         share_resynthesis_cache=cache_spec,
         cross_host_exchange=args.cross_exchange,
+        **settings_from_args(args),
     )
     if args.cases:
         case_names = [name.strip() for name in args.cases.split(",") if name.strip()]

@@ -27,8 +27,9 @@ more independent search trajectories, same merge semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
+from repro.parallel.portfolio import PortfolioSettings
 from repro.utils.rng import derive_seed
 
 #: suite kinds a job can draw cases from: the paper's assembled suites or
@@ -130,16 +131,17 @@ def make_shard_plan(
     )
 
 
-@dataclass(frozen=True)
-class DistributedJob:
+@dataclass(frozen=True, kw_only=True)
+class DistributedJob(PortfolioSettings):
     """Everything a host agent needs to execute a shard like any other host.
 
-    The job travels with each dispatched shard, so agents are stateless:
-    point one at a coordinator and it can serve any run.  Circuits are
-    *rebuilt on the host* from the suite generators (cheap, deterministic)
-    rather than shipped over the wire.  The portfolio fields are the
-    settings of :func:`repro.parallel.build_portfolio`, which every host
-    builds each run's optimizer with.
+    A :class:`~repro.parallel.PortfolioSettings` plus where the cases come
+    from and what the hosts share.  The job travels with each dispatched
+    shard, so agents are stateless: point one at a coordinator and it can
+    serve any run.  Circuits are *rebuilt on the host* from the suite
+    generators (cheap, deterministic) rather than shipped over the wire, and
+    every host builds each run's optimizer with
+    :func:`repro.parallel.build_portfolio`.
 
     ``suite`` selects where cases come from: ``"nisq"``/``"ftqc"`` are the
     paper's assembled suites at ``scale`` (case names as listed by
@@ -147,12 +149,12 @@ class DistributedJob:
     ``"builtin"`` treats each case name as a no-argument generator function
     in :mod:`repro.suite.generators` (e.g. ``repeated_blocks``) — the mode
     used to spread portfolio worker groups for a single circuit across
-    hosts.
+    hosts.  ``lower`` decomposes each case to ``gate_set`` first.
 
-    ``share_resynthesis_cache`` is a ``tcp://host:port[,...]`` URL (or any
+    ``share_resynthesis_cache`` is a ``tcp://host:port`` URL (or any
     backend kind the portfolio accepts); every host passes it straight to
-    its :class:`~repro.parallel.PortfolioOptimizer`, so hosts share one
-    network synthesis store.  Note that cross-host sharing makes resynthesis
+    :func:`~repro.parallel.build_portfolio`, so hosts share one network
+    synthesis store.  Note that cross-host sharing makes resynthesis
     outcomes depend on sibling progress: keep it off (None) when the run
     must be bit-reproducible, on when wall-clock matters (see
     ``docs/distributed.md``).
@@ -167,37 +169,25 @@ class DistributedJob:
     keep it off when the run must be bit-reproducible.
     """
 
-    suite: str = "ftqc"
-    scale: str = "tiny"
-    gate_set: str = "clifford+t"
-    objective: str = "ftqc"
-    lower: bool = True
-    epsilon_budget: float = 1e-6
+    # Distrib runs are iteration-bounded so fingerprints do not depend on host speed.
     time_limit: float = 1e9
     max_iterations: "int | None" = 60
     num_workers: int = 2
     exchange_interval: int = 50
-    backend: str = "serial"
-    include_rewrites: bool = True
-    include_resynthesis: bool = True
     synthesis_time_budget: float = 0.5
-    resynthesis_probability: float = 0.015
+
+    suite: str = "ftqc"
+    scale: str = "tiny"
+    lower: bool = True
     share_resynthesis_cache: "str | None" = None
     #: exchange incumbents across hosts (replicas of one case adopt the
     #: global best mid-search; anchor replica 0 never adopts)
     cross_host_exchange: bool = False
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.suite not in JOB_SUITES:
             raise ValueError(f"suite must be one of {JOB_SUITES}, got {self.suite!r}")
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be at least 1")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive when set")
-
-    def without_cache(self) -> "DistributedJob":
-        """A copy with cache sharing off (the bit-reproducible configuration)."""
-        return replace(self, share_resynthesis_cache=None)
 
 
 def job_case_names(job: DistributedJob) -> "list[str]":

@@ -36,6 +36,7 @@ import traceback
 from repro import rpc
 from repro.distrib.merge import DistributedSuiteResult, merge_case_results
 from repro.distrib.plan import CaseRun, DistributedJob, ShardPlan
+from repro.parallel.portfolio import build_portfolio
 from repro.perf.report import PerfReport
 
 #: default authkey for coordinator<->agent connections; like the cache key,
@@ -88,29 +89,6 @@ def build_cases(job: DistributedJob, names: "list[str]") -> "dict[str, object]":
     return circuits
 
 
-def _case_portfolio(job: DistributedJob, seed: "int | None"):
-    """One case's :class:`~repro.parallel.PortfolioOptimizer`: the job's
-    portfolio settings under the run's derived ``seed``."""
-    from repro.parallel.portfolio import build_portfolio
-
-    return build_portfolio(
-        job.gate_set,
-        objective=job.objective,
-        epsilon_budget=job.epsilon_budget,
-        time_limit=job.time_limit,
-        max_iterations=job.max_iterations,
-        seed=seed,
-        num_workers=job.num_workers,
-        exchange_interval=job.exchange_interval,
-        backend=job.backend,
-        include_rewrites=job.include_rewrites,
-        include_resynthesis=job.include_resynthesis,
-        synthesis_time_budget=job.synthesis_time_budget,
-        resynthesis_probability=job.resynthesis_probability,
-        share_resynthesis_cache=job.share_resynthesis_cache,
-    )
-
-
 def run_case(job: DistributedJob, run: CaseRun, circuit) -> "object":
     """Optimize one case exactly as any host in the cluster would.
 
@@ -121,7 +99,7 @@ def run_case(job: DistributedJob, run: CaseRun, circuit) -> "object":
     iteration-bounded and no cross-host cache (or cross-host exchange)
     couples trajectories.
     """
-    return _case_portfolio(job, run.seed).optimize(circuit)
+    return build_portfolio(job, seed=run.seed, cache=job.share_resynthesis_cache).optimize(circuit)
 
 
 def run_local(job: DistributedJob, plan: ShardPlan, host: str = "local") -> DistributedSuiteResult:
@@ -258,7 +236,9 @@ class HostAgent:
             if self.case_delay:
                 time.sleep(self.case_delay)
             try:
-                portfolio_run = _case_portfolio(job, run.seed).start(circuits[run.name])
+                portfolio_run = build_portfolio(
+                    job, seed=run.seed, cache=job.share_resynthesis_cache
+                ).start(circuits[run.name])
             except (_RunAborted, EOFError, OSError, ConnectionError):
                 raise
             except Exception as error:  # noqa: BLE001 - reported for re-queue

@@ -13,6 +13,7 @@ from repro.parallel.portfolio import (
     PortfolioOptimizer,
     PortfolioResult,
     PortfolioRun,
+    PortfolioSettings,
     build_portfolio,
     optimize_circuit_portfolio,
 )
@@ -25,6 +26,7 @@ __all__ = [
     "PortfolioOptimizer",
     "PortfolioResult",
     "PortfolioRun",
+    "PortfolioSettings",
     "RoundExecutor",
     "VariantSpec",
     "assign_variants",

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.baselines.base import BaselineOptimizer
 from repro.circuits.circuit import Circuit
@@ -501,74 +501,110 @@ class PortfolioRun:
             self._teardown_cache()
 
 
+@dataclass(frozen=True, kw_only=True)
+class PortfolioSettings:
+    """The search knobs of one portfolio run, declared once for every surface.
+
+    :func:`build_portfolio` turns a record into a :class:`PortfolioOptimizer`;
+    serve's :class:`~repro.serve.JobSpec` and distrib's
+    :class:`~repro.distrib.DistributedJob` extend it with their own fields.
+    ``gate_set`` and ``objective`` take a name or an instance.  The fields
+    map onto Algorithm 1 (``epsilon_budget``, ``time_limit`` — the
+    wall-clock budget of the whole portfolio — the per-worker
+    ``max_iterations``, ``resynthesis_probability``), the transformation set
+    (``include_rewrites``, ``include_resynthesis``,
+    ``synthesis_time_budget``) and the portfolio (``num_workers``,
+    ``exchange_interval``, ``backend``).  ``docs/architecture.md`` tabulates
+    each surface's defaults.
+    """
+
+    gate_set: "str | GateSet" = "clifford+t"
+    objective: "str | CostFunction" = "ftqc"
+    epsilon_budget: float = 1e-6
+    time_limit: float = 10.0
+    max_iterations: "int | None" = None
+    num_workers: int = 4
+    exchange_interval: int = 250
+    backend: str = "serial"
+    include_rewrites: bool = True
+    include_resynthesis: bool = True
+    synthesis_time_budget: float = 2.0
+    resynthesis_probability: float = 0.015
+
+    def __post_init__(self) -> None:
+        if self.num_workers < 1:
+            raise ValueError("num_workers must be at least 1")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError("max_iterations must be positive when set")
+
+
+def settings_from_args(args) -> dict:
+    """The :class:`PortfolioSettings` fields present on a parsed argparse namespace.
+
+    A flag declared with ``default=argparse.SUPPRESS`` is absent unless
+    given, so the record's own default applies: each default lives in one
+    place.  Spread the result into the record's constructor.
+    """
+    names = {spec.name for spec in fields(PortfolioSettings)}
+    return {name: value for name, value in vars(args).items() if name in names}
+
+
 def build_portfolio(
-    gate_set,
-    objective="nisq",
-    epsilon_budget: float = 1e-6,
-    time_limit: float = 10.0,
-    max_iterations: "int | None" = None,
+    settings: PortfolioSettings,
+    *,
     seed: "int | None" = None,
-    num_workers: int = 4,
-    exchange_interval: int = 250,
-    backend: str = "auto",
-    include_rewrites: bool = True,
-    include_resynthesis: bool = True,
-    synthesis_time_budget: float = 2.0,
-    resynthesis_probability: float = 0.015,
-    share_resynthesis_cache: "str | ResynthesisCache | None" = None,
+    cache: "str | ResynthesisCache | None" = None,
 ) -> PortfolioOptimizer:
-    """Turn portfolio settings into a :class:`PortfolioOptimizer`.
+    """Turn a :class:`PortfolioSettings` into a :class:`PortfolioOptimizer`.
 
     The one build path: :func:`optimize_circuit_portfolio`, the distrib host
     agents (:func:`repro.distrib.worker.run_case`) and serve's resident jobs
     all build here, so the same settings and ``seed`` yield the same
-    optimizer whichever layer runs it.  ``gate_set`` and ``objective`` take a
-    name or an instance; ``share_resynthesis_cache`` is a backend spec or a
-    live cache instance (see :class:`PortfolioOptimizer`).  Each worker gets
-    a private resynthesis cache unless a shared one is attached.
+    optimizer whichever layer runs it.  ``cache`` is the
+    ``share_resynthesis_cache`` of :class:`PortfolioOptimizer`: a backend
+    spec or a live cache instance.  Each worker gets a private resynthesis
+    cache unless a shared one is attached.
     """
     # Imported here: instantiate pulls in gatesets/noise, which the leaner
     # portfolio/baseline imports of this module do not need.
     from repro.core.instantiate import default_objective, default_transformations
 
+    objective = settings.objective
     if isinstance(objective, str):
-        objective = default_objective(gate_set, objective)
-    if share_resynthesis_cache == "local:" and backend in ("processes", "auto"):
+        objective = default_objective(settings.gate_set, objective)
+    if cache == "local:" and settings.backend in ("processes", "auto"):
         import warnings
 
         warnings.warn(
             "share_resynthesis_cache='local:' only shares across in-process workers; "
-            f"the {backend!r} backend pickles per-worker copies, so cross-worker "
+            f"the {settings.backend!r} backend pickles per-worker copies, so cross-worker "
             "reuse will not happen there (use share_resynthesis_cache='server:' "
             "for cross-process sharing)",
             RuntimeWarning,
             stacklevel=2,
         )
     transformations = default_transformations(
-        gate_set,
-        epsilon=epsilon_budget,
-        include_rewrites=include_rewrites,
-        include_resynthesis=include_resynthesis,
-        synthesis_time_budget=synthesis_time_budget,
+        settings.gate_set,
+        epsilon=settings.epsilon_budget,
+        include_rewrites=settings.include_rewrites,
+        include_resynthesis=settings.include_resynthesis,
+        synthesis_time_budget=settings.synthesis_time_budget,
         rng=seed,
     )
     config = PortfolioConfig(
         search=GuoqConfig(
-            epsilon_budget=epsilon_budget,
-            time_limit=time_limit,
-            max_iterations=max_iterations,
+            epsilon_budget=settings.epsilon_budget,
+            time_limit=settings.time_limit,
+            max_iterations=settings.max_iterations,
             seed=seed,
-            resynthesis_probability=resynthesis_probability,
+            resynthesis_probability=settings.resynthesis_probability,
         ),
-        num_workers=num_workers,
-        exchange_interval=exchange_interval,
-        backend=backend,
+        num_workers=settings.num_workers,
+        exchange_interval=settings.exchange_interval,
+        backend=settings.backend,
     )
     return PortfolioOptimizer(
-        transformations,
-        cost=objective,
-        config=config,
-        share_resynthesis_cache=share_resynthesis_cache,
+        transformations, cost=objective, config=config, share_resynthesis_cache=cache
     )
 
 
@@ -605,21 +641,20 @@ def optimize_circuit_portfolio(
     each pickled worker forks a private copy instead (a warning is emitted
     and the downgrade lands in ``result.perf.notes``).
     """
-    return build_portfolio(
-        gate_set,
+    settings = PortfolioSettings(
+        gate_set=gate_set,
         objective=objective,
         epsilon_budget=epsilon_budget,
         time_limit=time_limit,
         max_iterations=max_iterations,
-        seed=seed,
         num_workers=num_workers,
         exchange_interval=exchange_interval,
         backend=backend,
         include_rewrites=include_rewrites,
         include_resynthesis=include_resynthesis,
         synthesis_time_budget=synthesis_time_budget,
-        share_resynthesis_cache=share_resynthesis_cache,
-    ).optimize(circuit)
+    )
+    return build_portfolio(settings, seed=seed, cache=share_resynthesis_cache).optimize(circuit)
 
 
 class PortfolioBaseline(BaselineOptimizer):

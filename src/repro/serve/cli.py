@@ -24,6 +24,7 @@ import argparse
 import json
 import time
 
+from repro.parallel.portfolio import settings_from_args
 from repro.serve.client import JobClient
 from repro.serve.protocol import SCHEDULER_POLICIES, JobSpec, serve_authkey
 from repro.serve.server import JobServer
@@ -73,16 +74,11 @@ def _spec_from_args(args, circuit) -> JobSpec:
     return JobSpec(
         circuit=circuit,
         name=args.name or args.circuit,
-        gate_set=args.gate_set,
-        objective=args.objective,
-        time_limit=args.time_limit,
-        max_iterations=args.max_iterations,
         seed=args.seed,
-        num_workers=args.num_workers,
-        exchange_interval=args.exchange_interval,
         tenant=args.tenant,
         deadline=args.deadline,
         weight=args.weight,
+        **settings_from_args(args),
     )
 
 
@@ -197,13 +193,8 @@ def _cmd_smoke(args) -> int:
                 circuit=circuit,
                 name=f"smoke-{index}",
                 seed=args.seed + index,
-                time_limit=args.time_limit,
-                max_iterations=args.max_iterations,
-                num_workers=args.num_workers,
-                exchange_interval=args.exchange_interval,
-                synthesis_time_budget=args.synthesis_time_budget,
-                resynthesis_probability=args.resynthesis_probability,
                 tenant=f"tenant-{index}",
+                **settings_from_args(args),
             )
             job_ids.append(client.submit(spec))
         results = []
@@ -310,13 +301,15 @@ def main(argv: "list[str] | None" = None) -> int:
     _add_connect(submit)
     submit.add_argument("circuit", help="generator name in repro.suite.generators")
     submit.add_argument("--name", default=None, help="job label (default: the generator name)")
-    submit.add_argument("--gate-set", default="clifford+t")
-    submit.add_argument("--objective", default="ftqc", choices=["nisq", "ftqc", "2q"])
-    submit.add_argument("--time-limit", type=float, default=10.0)
-    submit.add_argument("--max-iterations", type=int, default=None)
+    # Search flags default to JobSpec's own defaults (absent unless given).
+    settings = submit.add_argument_group("search settings", argument_default=argparse.SUPPRESS)
+    settings.add_argument("--gate-set")
+    settings.add_argument("--objective", choices=["nisq", "ftqc", "2q"])
+    settings.add_argument("--time-limit", type=float)
+    settings.add_argument("--max-iterations", type=int)
+    settings.add_argument("--num-workers", type=int)
+    settings.add_argument("--exchange-interval", type=int)
     submit.add_argument("--seed", type=int, default=None)
-    submit.add_argument("--num-workers", type=int, default=4)
-    submit.add_argument("--exchange-interval", type=int, default=250)
     submit.add_argument("--tenant", default="default")
     submit.add_argument(
         "--deadline", type=float, default=None, help="relative deadline seconds (advisory)"

@@ -33,7 +33,9 @@ smoke gate assert *zero dropped requests*.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
+
+from repro.parallel.portfolio import PortfolioSettings
 
 #: default client<->server authkey; a handshake (multiprocessing HMAC), not
 #: a security boundary — override with ``REPRO_SERVE_AUTHKEY``
@@ -58,20 +60,16 @@ def serve_authkey() -> bytes:
 
 
 @dataclass(frozen=True)
-class JobSpec:
-    """Everything a client submits: one circuit plus its optimization knobs.
+class JobSpec(PortfolioSettings):
+    """Everything a client submits: one circuit plus a :class:`PortfolioSettings`.
 
-    The portfolio fields are the settings of
-    :func:`repro.parallel.build_portfolio`, which builds every job's
-    optimizer — the builder behind
-    :func:`~repro.parallel.optimize_circuit_portfolio`.  Without a shared
-    cache, an iteration-bounded job submitted here returns exactly what
-    that call made locally with the same settings and ``seed`` would —
-    scheduler interleaving never perturbs outcomes (the serve tests pin this
-    bit for bit).  ``backend`` defaults to ``serial`` because a time-sliced
-    server is already using the machine's cores across jobs; raise
-    ``num_workers``/``backend`` per job only when the server is expected to
-    dedicate cores to it.
+    :func:`repro.parallel.build_portfolio` builds every job's optimizer, so
+    without a shared cache an iteration-bounded job submitted here returns
+    exactly what :func:`~repro.parallel.optimize_circuit_portfolio` made
+    locally with the same settings and ``seed`` would — scheduler
+    interleaving never perturbs outcomes (the serve tests pin this bit for
+    bit).  ``backend`` defaults to ``serial`` because a time-sliced server is
+    already using the machine's cores across jobs.
 
     ``tenant`` groups jobs for per-tenant step budgets, ``deadline`` is a
     *relative* deadline in seconds used by the ``deadline`` policy to weight
@@ -80,29 +78,17 @@ class JobSpec:
     """
 
     circuit: object
+    _: KW_ONLY
     name: str = "job"
-    gate_set: str = "clifford+t"
-    objective: str = "ftqc"
-    epsilon_budget: float = 1e-6
-    time_limit: float = 10.0
-    max_iterations: "int | None" = None
     seed: "int | None" = None
-    num_workers: int = 4
-    exchange_interval: int = 250
-    backend: str = "serial"
-    include_rewrites: bool = True
-    include_resynthesis: bool = True
-    synthesis_time_budget: float = 2.0
-    resynthesis_probability: float = 0.015
     tenant: str = "default"
     deadline: "float | None" = None
     weight: float = 1.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.circuit is None:
             raise ValueError("a job needs a circuit")
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be at least 1")
         if self.weight <= 0:
             raise ValueError("weight must be positive")
         if self.deadline is not None and self.deadline <= 0:

@@ -42,6 +42,7 @@ from __future__ import annotations
 import itertools
 import uuid
 
+from repro.parallel.portfolio import build_portfolio
 from repro.serve.protocol import (
     SCHEDULER_POLICIES,
     TERMINAL_STATES,
@@ -270,26 +271,9 @@ class JobScheduler:
         return ResynthesisCache(shared=True, backend=self._cache_backend)
 
     def _open(self, job: ScheduledJob) -> None:
-        from repro.parallel.portfolio import build_portfolio
-
         spec = job.spec
         job._cache = self._job_cache()
-        optimizer = build_portfolio(
-            spec.gate_set,
-            objective=spec.objective,
-            epsilon_budget=spec.epsilon_budget,
-            time_limit=spec.time_limit,
-            max_iterations=spec.max_iterations,
-            seed=spec.seed,
-            num_workers=spec.num_workers,
-            exchange_interval=spec.exchange_interval,
-            backend=spec.backend,
-            include_rewrites=spec.include_rewrites,
-            include_resynthesis=spec.include_resynthesis,
-            synthesis_time_budget=spec.synthesis_time_budget,
-            resynthesis_probability=spec.resynthesis_probability,
-            share_resynthesis_cache=job._cache,
-        )
+        optimizer = build_portfolio(spec, seed=spec.seed, cache=job._cache)
         job.run = optimizer.start(spec.circuit)
         job.state = "running"
         self._record_incumbent(job)  # seq 1: the starting cost

@@ -27,7 +27,7 @@ from repro.distrib import (
     start_tcp_cache_server,
 )
 from repro.distrib.worker import build_cases, distrib_authkey, run_case
-from repro.parallel import build_portfolio, optimize_circuit_portfolio
+from repro.parallel import PortfolioSettings, build_portfolio, optimize_circuit_portfolio
 from repro.suite.suite import select_cases
 from repro.suite import ftqc_suite
 from repro.utils.linalg import hilbert_schmidt_distance
@@ -438,15 +438,17 @@ class TestAdoptIncumbent:
     def _run(self, seed=13):
         circuit = build_cases(fast_job(), ["ghz_5"])["ghz_5"]
         optimizer = build_portfolio(
-            "clifford+t",
-            objective="ftqc",
-            time_limit=1e9,
-            max_iterations=30,
+            PortfolioSettings(
+                gate_set="clifford+t",
+                objective="ftqc",
+                time_limit=1e9,
+                max_iterations=30,
+                num_workers=2,
+                exchange_interval=15,
+                backend="serial",
+                include_resynthesis=False,
+            ),
             seed=seed,
-            num_workers=2,
-            exchange_interval=15,
-            backend="serial",
-            include_resynthesis=False,
         )
         return optimizer.start(circuit), circuit
 

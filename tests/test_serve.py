@@ -67,6 +67,8 @@ class TestJobSpec:
             JobSpec(circuit=redundant_circuit(), weight=0.0)
         with pytest.raises(ValueError, match="deadline"):
             JobSpec(circuit=redundant_circuit(), deadline=-1.0)
+        with pytest.raises(ValueError, match="max_iterations"):
+            JobSpec(circuit=redundant_circuit(), max_iterations=0)
 
 
 class TestSchedulerLifecycle:
