@@ -20,24 +20,23 @@ from __future__ import annotations
 
 import argparse
 
-from repro.perf.persist import DEFAULT_FLUSH_INTERVAL
 from repro.perf.shared_cache import (
+    BackendSpec,
     _serve_cache,
-    parse_backend_spec,
+    server_store_spec,
     spawn_cache_server,
     tcp_cache_authkey,
 )
+
+#: the store a cache server serves when not told otherwise
+DEFAULT_SERVER_STORE = "local:?maxsize=4096"
 
 
 def start_tcp_cache_server(
     host: str = "127.0.0.1",
     port: int = 0,
     authkey: "bytes | None" = None,
-    maxsize: int = 4096,
-    match_epsilon: float = 1e-9,
-    start_timeout: float = 30.0,
-    store_path=None,
-    flush_interval: int = DEFAULT_FLUSH_INTERVAL,
+    cache: "str | BackendSpec" = DEFAULT_SERVER_STORE,
 ):
     """Spawn a cache-server process; returns ``(process, (host, port))``.
 
@@ -46,20 +45,19 @@ def start_tcp_cache_server(
     parent outlives the runs it serves.  Terminate it (or send the protocol
     ``shutdown`` op) to stop it; there is no owning backend handle.
 
-    ``store_path`` makes the server crash-safe across restarts: it reloads
-    the on-disk corpus before binding (a damaged file degrades to its intact
-    prefix with a note, never a crash) and snapshots it on shutdown or
-    SIGTERM; ``flush_interval`` bounds how many puts a SIGKILL can lose.
+    ``cache`` is the ``local:`` spec of the served store (see
+    ``docs/caching.md``; an unset ``maxsize`` is the 512-entry store
+    default).  Its ``store=PATH`` makes the server crash-safe
+    across restarts: it reloads the on-disk corpus before binding (a damaged
+    file degrades to its intact prefix with a note, never a crash) and
+    snapshots it on shutdown or SIGTERM; ``flush_every=N`` bounds how many
+    puts a SIGKILL can lose.
     """
     return spawn_cache_server(
         host,
         port,
         authkey if authkey is not None else tcp_cache_authkey(),
-        maxsize,
-        match_epsilon,
-        store_path=store_path,
-        flush_interval=flush_interval,
-        start_timeout=start_timeout,
+        cache,
     )
 
 
@@ -72,55 +70,29 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--port", type=int, required=True, help="port to bind")
     parser.add_argument(
         "--cache",
-        default=None,
+        default=DEFAULT_SERVER_STORE,
         metavar="SPEC",
-        help="spec of the store this server serves, e.g. "
-        "'local:?store=PATH&flush_every=N&maxsize=N' — the spec's query "
-        "values override --maxsize/--match-epsilon",
+        help="spec of the store this server serves, "
+        "'local:?store=PATH&flush_every=N&maxsize=N' (default: %(default)s; "
+        "an unset maxsize is 512)",
     )
-    parser.add_argument("--maxsize", type=int, default=4096, help="entry bound of the LRU store")
-    parser.add_argument("--match-epsilon", type=float, default=1e-9)
     parser.add_argument(
         "--authkey", default=None, help="connection authkey (default: $REPRO_CACHE_AUTHKEY)"
     )
     args = parser.parse_args(argv)
-    maxsize = args.maxsize
-    match_epsilon = args.match_epsilon
-    store_path = None
-    flush_interval = DEFAULT_FLUSH_INTERVAL
-    if args.cache:
-        try:
-            spec = parse_backend_spec(args.cache)
-        except (ValueError, TypeError) as error:
-            parser.error(str(error))
-        if spec.kind != "local":
-            parser.error(
-                f"--cache {args.cache!r}: a cache server serves a local store; "
-                "pass a 'local:' spec (clients dial it as tcp://)"
-            )
-        maxsize = spec.maxsize if spec.maxsize is not None else maxsize
-        match_epsilon = spec.match_epsilon if spec.match_epsilon is not None else match_epsilon
-        store_path = spec.store_path
-        if spec.flush_interval is not None:
-            flush_interval = spec.flush_interval
+    try:
+        store_spec = server_store_spec(args.cache)
+    except (ValueError, TypeError) as error:
+        parser.error(str(error))
     key = args.authkey.encode() if args.authkey else tcp_cache_authkey()
-    store_note = f"; store {store_path}" if store_path else ""
     print(
-        f"[cache-server] serving on {args.host}:{args.port} "
-        f"(maxsize {maxsize}){store_note}; url tcp://{args.host}:{args.port}",
+        f"[cache-server] serving {store_spec.canonical} on {args.host}:{args.port}; "
+        f"url tcp://{args.host}:{args.port}",
         flush=True,
     )
     # Blocks until a client sends the protocol ``shutdown`` op (or the
     # process is killed); every client connection gets a handler thread.
-    _serve_cache(
-        None,
-        key,
-        maxsize,
-        match_epsilon,
-        (args.host, args.port),
-        store_path,
-        flush_interval,
-    )
+    _serve_cache(None, key, store_spec, (args.host, args.port))
     print("[cache-server] shut down")
     return 0
 

@@ -239,22 +239,6 @@ class HostAgent:
                 portfolio_run = build_portfolio(
                     job, seed=run.seed, cache=job.share_resynthesis_cache
                 ).start(circuits[run.name])
-            except (_RunAborted, EOFError, OSError, ConnectionError):
-                raise
-            except Exception as error:  # noqa: BLE001 - reported for re-queue
-                update = self._post(
-                    channel,
-                    (
-                        "case-error",
-                        (assignment_id, key, _failure_message(error)),
-                    ),
-                )
-                revoked.update(tuple(k) for k in update.get("revoked", ()))
-                # Breathe before the next case: a deterministic failure
-                # would otherwise spin at full CPU until the cap trips.
-                time.sleep(self.poll_interval)
-                continue
-            try:
                 try:
                     published_cost: "float | None" = None
                     while portfolio_run.step_round():
@@ -308,6 +292,8 @@ class HostAgent:
                     ("case-error", (assignment_id, key, _failure_message(error))),
                 )
                 revoked.update(tuple(k) for k in update.get("revoked", ()))
+                # Breathe before the next case: a deterministic failure
+                # would otherwise spin at full CPU until the cap trips.
                 time.sleep(self.poll_interval)
                 continue
             update = self._post(

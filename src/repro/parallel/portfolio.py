@@ -185,7 +185,6 @@ class PortfolioOptimizer:
         instance stays the caller's responsibility.  Every string spelling
         routes through :func:`repro.perf.parse_backend_spec`.
         """
-        from repro.perf import shared_cache as shared_cache_module
         from repro.perf.cache import ResynthesisCache
         from repro.perf.shared_cache import SharedCacheUnavailable, parse_backend_spec
 
@@ -200,19 +199,14 @@ class PortfolioOptimizer:
             )
         spec = parse_backend_spec(requested, parameter="share_resynthesis_cache")
         notes: list[str] = []
-        backend: "object" = spec
-        if spec.kind != "local":
-            try:
-                # Resolved lazily off the module so tests (and embedders) can
-                # monkeypatch create_backend to force the fallback path.
-                backend = shared_cache_module.create_backend(spec)
-            except SharedCacheUnavailable as error:
-                notes.append(
-                    f"requested {spec.canonical!r} shared cache backend unavailable "
-                    f"({error}); fell back to 'local'"
-                )
-                backend = "local:"
-        cache = ResynthesisCache(shared=True, backend=backend)
+        try:
+            cache = ResynthesisCache(shared=True, backend=spec)
+        except SharedCacheUnavailable as error:
+            notes.append(
+                f"requested {spec.canonical!r} shared cache backend unavailable "
+                f"({error}); fell back to 'local'"
+            )
+            cache = ResynthesisCache(shared=True)
         notes.insert(0, f"shared resynthesis cache backend: {cache.backend.kind}")
         return cache, True, notes
 

@@ -40,7 +40,6 @@ from repro.perf.shared_cache import (
     LocalBackend,
     SharedCacheUnavailable,
     TcpCacheBackend,
-    create_backend,
     drain_connection_pool,
     parse_backend_spec,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "TcpCacheBackend",
     "append_corpus",
     "canonicalize_unitary",
-    "create_backend",
     "drain_connection_pool",
     "load_corpus",
     "parse_backend_spec",

@@ -16,11 +16,14 @@ when their unitaries agree up to
   qubit-swap of one previously seen on ``(1, 3)`` reuses the cached circuit
   with its qubits permuted back.
 
-Lookups are sound by construction: the quantized canonical form only selects
-a hash bucket; within the bucket the exact canonical unitary is compared, and
-(by default) the reconstructed replacement is re-verified against the query
-unitary before it is returned, so a cache hit can never hand back a circuit
-that is not within the resynthesizer's epsilon of the query block.
+Lookups are sound by construction: the quantized canonical form (a 6-digit
+grid) only selects a hash bucket; within the bucket the exact canonical
+unitary is compared (to ``MATCH_EPSILON`` = 1e-9 elementwise), and every
+reconstructed replacement is re-verified against the query unitary before it
+is returned, so a cache hit can never hand back a circuit that is not within
+the resynthesizer's epsilon of the query block.  Failed synthesis attempts
+are memoized too: a stochastic synthesizer never retries a unitary it failed
+on while the entry lives.
 
 Caching does change which outcome a *stochastic* synthesizer reports for a
 repeated unitary (the first outcome is replayed instead of re-sampling), but
@@ -33,7 +36,10 @@ Storage is pluggable (see :mod:`repro.perf.shared_cache` and
 LRU, while the ``tcp`` backend (a spawned ``server:`` or a network cache
 server) lets portfolio workers in *separate processes* share one store —
 this front end keeps canonicalization, hit verification, per-worker
-counters, and a write-back buffer that batches puts to amortize IPC.
+counters, and a write-back buffer that batches puts to amortize IPC.  A
+shared store lost mid-run is absorbed by the tcp backend itself (lookups
+miss, writes are dropped, both counted), so the front end never sees the
+failure.
 """
 
 from __future__ import annotations
@@ -84,9 +90,11 @@ def permute_unitary(unitary: np.ndarray, perm: "tuple[int, ...]") -> np.ndarray:
 _WRITE_BATCH = 8
 
 
-def canonicalize_unitary(
-    unitary: np.ndarray, decimals: int = 6
-) -> "tuple[bytes, tuple[int, ...], np.ndarray]":
+#: quantization grid (decimal digits) of the hash key
+_KEY_DECIMALS = 6
+
+
+def canonicalize_unitary(unitary: np.ndarray) -> "tuple[bytes, tuple[int, ...], np.ndarray]":
     """Canonical form of a block unitary for content addressing.
 
     Returns ``(key, perm, canonical)`` where ``canonical`` is the exact
@@ -113,7 +121,7 @@ def canonicalize_unitary(
     perms = itertools.permutations(range(k)) if k <= 3 else [tuple(range(k))]
     for perm in perms:
         candidate = phase_normalized(permute_unitary(unitary, perm))
-        quantized = np.round(candidate, decimals) + 0.0  # +0.0 folds -0.0 into +0.0
+        quantized = np.round(candidate, _KEY_DECIMALS) + 0.0  # +0.0 folds -0.0 into +0.0
         key = quantized.tobytes()
         if best is None or key < best[0]:
             best = (key, tuple(perm), candidate)
@@ -124,31 +132,18 @@ def canonicalize_unitary(
 class ResynthesisCache:
     """Bounded, content-addressed LRU memo of resynthesis outcomes.
 
+    Every hit is re-verified against the query unitary (and its measured
+    distance re-charged) before it is returned.  That is cheap for
+    block-sized unitaries, makes hits sound against any residual numerical
+    drift, and is what makes *shared* backends safe: whatever another worker
+    stored is re-proven against this query before it is used.
+
     Parameters
     ----------
     maxsize:
         Maximum number of entries; the least recently used bucket is evicted
-        when the bound is exceeded.
-    decimals:
-        Quantization grid of the hash key (see :func:`canonicalize_unitary`).
-    match_epsilon:
-        Elementwise absolute tolerance for two canonical unitaries to be
-        considered the same content.  Canonical forms are phase-aligned, so
-        a direct ``allclose`` comparison applies (the Hilbert–Schmidt
-        formula's ~1e-8 numerical floor would make tighter matching
-        impossible); kept well below the resynthesis verification floor so a
-        match never degrades an outcome's error.
-    cache_failures:
-        Also memoize failed synthesis attempts (``None`` outcomes), which are
-        the most expensive calls; a stochastic backend then never retries a
-        unitary it failed on while the entry lives.
-    verify_hits:
-        Re-verify every reconstructed replacement against the query unitary
-        before returning it (and re-charge its measured distance).  Cheap for
-        block-sized unitaries and makes hits sound against any residual
-        numerical drift — and it is also what makes *shared* backends safe:
-        whatever another worker stored is re-proven against this query before
-        it is used.
+        when the bound is exceeded.  Fills the store size of a ``local:`` or
+        ``server:`` spec that does not set ``maxsize`` itself.
     shared:
         Make ``copy.deepcopy`` return the cache itself instead of a private
         cold copy.  Portfolio workers deep-copy their transformations, so a
@@ -172,20 +167,12 @@ class ResynthesisCache:
     def __init__(
         self,
         maxsize: int = 512,
-        decimals: int = 6,
-        match_epsilon: float = 1e-9,
-        cache_failures: bool = True,
-        verify_hits: bool = True,
         shared: bool = False,
         backend: "str | object" = "local:",
     ) -> None:
         if maxsize < 1:
             raise ValueError("maxsize must be at least 1")
         self.maxsize = maxsize
-        self.decimals = decimals
-        self.match_epsilon = match_epsilon
-        self.cache_failures = cache_failures
-        self.verify_hits = verify_hits
         self.shared = shared
         if isinstance(backend, (str, BackendSpec)):
             spec = parse_backend_spec(backend)
@@ -194,14 +181,16 @@ class ResynthesisCache:
             spec = None
             kind = backend.kind
         if kind != "local" and not shared:
-            # Validate before materializing: create_backend would spawn a
+            # Validate before materializing: a server: spec would spawn a
             # server process with no handle left to close it.
             raise ValueError(
                 f"the {kind!r} backend is a shared store; construct the "
                 "cache with shared=True"
             )
         if spec is not None:
-            backend = spec.create(maxsize=maxsize, match_epsilon=match_epsilon)
+            if spec.maxsize is None and spec.address is None:
+                spec = replace(spec, maxsize=maxsize)
+            backend = spec.create()
         self.backend = backend
         self.token = f"resynth-cache-{uuid.uuid4().hex[:12]}"
         #: lifecycle events worth surfacing (backend downgrades on pickling,
@@ -212,11 +201,6 @@ class ResynthesisCache:
         self._puts = 0
         self._remote_hits = 0
         self._verify_failures = 0
-        #: backend round trips absorbed after connection-level failures (a
-        #: shared store lost mid-run degrades to local misses, see
-        #: :meth:`_backend_get_many`); surfaced via :meth:`stats` and notes
-        self._backend_failures = 0
-        self._backend_failure_noted = False
         self._tcp_degradation_noted = False
         #: keys this front end itself stored — a hit on any other key served
         #: from a shared backend is a *cross-worker* (remote) hit
@@ -238,7 +222,7 @@ class ResynthesisCache:
         A miss-path caller can canonicalize once and pass the triple to both
         calls instead of paying the k!-permutation scan twice.
         """
-        return canonicalize_unitary(unitary, self.decimals)
+        return canonicalize_unitary(unitary)
 
     def get(
         self,
@@ -251,9 +235,9 @@ class ResynthesisCache:
         A hit with ``outcome=None`` is a memoized synthesis *failure*.  A hit
         with an outcome returns the cached replacement remapped into the
         query's qubit frame, re-verified (and its epsilon re-charged) against
-        the query unitary when ``verify_hits`` is on; ``epsilon`` is the
-        caller's synthesis tolerance used for that verification.  ``key`` is
-        an optional precomputed :meth:`canonical_key` triple.
+        the query unitary; ``epsilon`` is the caller's synthesis tolerance
+        used for that verification.  ``key`` is an optional precomputed
+        :meth:`canonical_key` triple.
         """
         key, perm, canonical = self.canonical_key(unitary) if key is None else key
         entry, remote = self._lookup(key, canonical)
@@ -267,17 +251,14 @@ class ResynthesisCache:
         if outcome is None:
             self._count_hit(remote)
             return True, None
-        candidate = self._to_query_frame(outcome, perm)
-        if self.verify_hits:
-            verified = self._verify(unitary, candidate, epsilon)
-            if verified is None:
-                with self._lock:
-                    self._misses += 1
-                    self._verify_failures += 1
-                return False, None
-            candidate = verified
+        verified = self._verify(unitary, self._to_query_frame(outcome, perm), epsilon)
+        if verified is None:
+            with self._lock:
+                self._misses += 1
+                self._verify_failures += 1
+            return False, None
         self._count_hit(remote)
-        return True, candidate
+        return True, verified
 
     def put(
         self,
@@ -285,9 +266,7 @@ class ResynthesisCache:
         outcome: "ResynthesisOutcome | None",
         key: "tuple[bytes, tuple[int, ...], np.ndarray] | None" = None,
     ) -> None:
-        """Memoize the outcome of resynthesizing ``unitary``."""
-        if outcome is None and not self.cache_failures:
-            return
+        """Memoize the outcome of resynthesizing ``unitary`` (``None``: a failure)."""
         key, perm, canonical = self.canonical_key(unitary) if key is None else key
         stored = outcome
         if outcome is not None:
@@ -303,7 +282,7 @@ class ResynthesisCache:
         flush: "list[tuple[bytes, _Entry]] | None" = None
         with self._lock:
             bucket = self._l1.setdefault(key, [])
-            _merge_entry(bucket, entry, self.match_epsilon)
+            _merge_entry(bucket, entry)
             self._l1_touch(key)
             self._my_keys.add(key)
             self._write_buffer.append((key, entry))
@@ -312,14 +291,14 @@ class ResynthesisCache:
                 flush = self._write_buffer
                 self._write_buffer = []
         if flush:
-            self._backend_put_many(flush)
+            self.backend.put_many(flush)
 
     def flush(self) -> None:
         """Push any buffered puts to the backend (no-op for local storage)."""
         with self._lock:
             pending, self._write_buffer = self._write_buffer, []
         if pending:
-            self._backend_put_many(pending)
+            self.backend.put_many(pending)
 
     # -- batch engine hooks ---------------------------------------------------
 
@@ -334,7 +313,7 @@ class ResynthesisCache:
         if self.backend.kind == "local" or not keys:
             return 0
         unique = list(dict.fromkeys(keys))
-        fetched = self._backend_get_many(unique)
+        fetched = self.backend.get_many(unique)
         if not fetched:
             return 0
         with self._lock:
@@ -346,7 +325,7 @@ class ResynthesisCache:
                     # Merge, never replace — same rationale as _lookup: the
                     # L1 bucket may hold this worker's own buffered puts.
                     for entry in entries:
-                        _merge_entry(bucket, entry, self.match_epsilon)
+                        _merge_entry(bucket, entry)
                 self._l1_touch(key)
         return len(fetched)
 
@@ -367,48 +346,9 @@ class ResynthesisCache:
             bucket = self._l1.get(key)
             if not bucket:
                 return False
-            return any(
-                _entries_match(entry.canonical, canonical, self.match_epsilon)
-                for entry in bucket
-            )
+            return any(_entries_match(entry.canonical, canonical) for entry in bucket)
 
     # -- internals -----------------------------------------------------------
-
-    #: connection-level failures a backend round trip can die of when its
-    #: store vanishes mid-run; protocol rejections (RuntimeError) still raise
-    _BACKEND_FAULTS = (OSError, EOFError, ConnectionError)
-
-    def _backend_get_many(self, keys: "list[bytes]") -> "dict[bytes, list[_Entry]]":
-        """``backend.get_many`` that degrades a dead store to a miss.
-
-        The cache is a memo, never a source of truth — a shared store that
-        dies mid-run must cost hit rate, not the run.  (The tcp backend
-        already absorbs its own failures; this guard gives any other shared
-        backend the same property.)
-        """
-        try:
-            return self.backend.get_many(keys)
-        except self._BACKEND_FAULTS as error:
-            self._record_backend_failure(error)
-            return {}
-
-    def _backend_put_many(self, items: "list[tuple[bytes, _Entry]]") -> None:
-        """``backend.put_many`` that drops the batch if the store is gone."""
-        try:
-            self.backend.put_many(items)
-        except self._BACKEND_FAULTS as error:
-            self._record_backend_failure(error)
-
-    def _record_backend_failure(self, error: BaseException) -> None:
-        with self._lock:
-            self._backend_failures += 1
-            if not self._backend_failure_noted:
-                self._backend_failure_noted = True
-                self.notes.append(
-                    f"shared {self.backend.kind!r} cache backend failed mid-run "
-                    f"({error!r}); degraded to local-only operation "
-                    "(lookups miss, writes are dropped)"
-                )
 
     def _lookup(self, key: bytes, canonical: np.ndarray) -> "tuple[_Entry | None, bool]":
         """Find the matching entry; returns ``(entry, served_remotely)``.
@@ -425,10 +365,10 @@ class ResynthesisCache:
             bucket = self._l1.get(key)
             if bucket is not None:
                 for entry in bucket:
-                    if _entries_match(entry.canonical, canonical, self.match_epsilon):
+                    if _entries_match(entry.canonical, canonical):
                         self._l1_touch(key)
                         return entry, key not in self._my_keys
-        fetched = self._backend_get_many([key]).get(key)
+        fetched = self.backend.get_many([key]).get(key)
         if not fetched:
             return None, False
         with self._lock:
@@ -442,11 +382,11 @@ class ResynthesisCache:
                 # wholesale replacement would discard them — making the worker
                 # re-synthesize a result it already paid for.
                 for entry in fetched:
-                    _merge_entry(bucket, entry, self.match_epsilon)
+                    _merge_entry(bucket, entry)
             self._l1_touch(key)
             scan = list(bucket)
         for entry in scan:
-            if _entries_match(entry.canonical, canonical, self.match_epsilon):
+            if _entries_match(entry.canonical, canonical):
                 return entry, key not in self._my_keys
         return None, False
 
@@ -489,17 +429,14 @@ class ResynthesisCache:
         return len(self.backend)
 
     def __contains__(self, unitary) -> bool:
-        key, _, canonical = canonicalize_unitary(np.asarray(unitary), self.decimals)
+        key, _, canonical = canonicalize_unitary(np.asarray(unitary))
         if self.backend.kind == "local":
             return self.backend.peek(key, canonical)
         self.flush()
         bucket = self.backend.get_many([key]).get(key)
         if not bucket:
             return False
-        return any(
-            _entries_match(entry.canonical, canonical, self.match_epsilon)
-            for entry in bucket
-        )
+        return any(_entries_match(entry.canonical, canonical) for entry in bucket)
 
     def stats(self) -> CacheStats:
         """Point-in-time counter snapshot (see :class:`CacheStats`).
@@ -546,7 +483,6 @@ class ResynthesisCache:
                 verify_failures=self._verify_failures,
                 dropped_requests=dropped,
                 unreachable_servers=unreachable,
-                backend_failures=self._backend_failures,
             )
 
     def clear(self) -> None:
@@ -588,14 +524,7 @@ class ResynthesisCache:
         """
         if self.shared:
             return self
-        return ResynthesisCache(
-            maxsize=self.maxsize,
-            decimals=self.decimals,
-            match_epsilon=self.match_epsilon,
-            cache_failures=self.cache_failures,
-            verify_hits=self.verify_hits,
-            shared=False,
-        )
+        return ResynthesisCache(maxsize=self.maxsize)
 
     def __getstate__(self) -> dict:
         if self.backend.kind != "local":

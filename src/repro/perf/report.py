@@ -45,10 +45,6 @@ class CacheStats:
     #: 1 when this front end's ``tcp`` backend has marked its server dead
     #: (0 otherwise, and for every other backend)
     unreachable_servers: int = 0
-    #: backend round trips the front end absorbed after a connection-level
-    #: failure (shared stores lost mid-run degrade to local misses instead
-    #: of crashing the run)
-    backend_failures: int = 0
 
     @property
     def lookups(self) -> int:
@@ -75,7 +71,6 @@ class CacheStats:
             "verify_failures": self.verify_failures,
             "dropped_requests": self.dropped_requests,
             "unreachable_servers": self.unreachable_servers,
-            "backend_failures": self.backend_failures,
         }
 
 
@@ -130,7 +125,7 @@ class PerfReport:
     @property
     def cache_dropped_requests(self) -> int:
         """Requests degraded backends dropped mid-run (0 = healthy server)."""
-        return sum(stats.dropped_requests + stats.backend_failures for stats in self.caches)
+        return sum(stats.dropped_requests for stats in self.caches)
 
     @property
     def cache_unreachable_servers(self) -> int:

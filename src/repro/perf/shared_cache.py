@@ -33,7 +33,7 @@ import os
 import secrets
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Protocol
 
 import numpy as np
@@ -94,18 +94,26 @@ class _Entry:
     outcome: "ResynthesisOutcome | None"
 
 
-def _entries_match(first: np.ndarray, second: np.ndarray, epsilon: float) -> bool:
+#: elementwise absolute tolerance for two canonical unitaries to count as the
+#: same content.  Canonical forms are phase-aligned, so a direct ``allclose``
+#: applies (the Hilbert–Schmidt formula's ~1e-8 numerical floor would make
+#: tighter matching impossible); it sits well below the resynthesis
+#: verification floor, so a match never degrades an outcome's error.
+MATCH_EPSILON = 1e-9
+
+
+def _entries_match(first: np.ndarray, second: np.ndarray) -> bool:
     """Exact-content test between two canonical (phase-aligned) unitaries."""
-    return bool(np.allclose(first, second, rtol=0.0, atol=epsilon))
+    return bool(np.allclose(first, second, rtol=0.0, atol=MATCH_EPSILON))
 
 
-def _merge_entry(bucket: "list[_Entry]", entry: _Entry, epsilon: float) -> bool:
+def _merge_entry(bucket: "list[_Entry]", entry: _Entry) -> bool:
     """Refresh a content-matching entry in ``bucket`` or append a new one.
 
     Returns True when the entry was appended (the bucket grew).
     """
     for existing in bucket:
-        if _entries_match(existing.canonical, entry.canonical, epsilon):
+        if _entries_match(existing.canonical, entry.canonical):
             existing.outcome = entry.outcome
             return False
     bucket.append(entry)
@@ -133,14 +141,12 @@ class _BucketStore:
     def __init__(
         self,
         maxsize: int = 512,
-        match_epsilon: float = 1e-9,
         store_path=None,
         flush_interval: int = DEFAULT_FLUSH_INTERVAL,
     ) -> None:
         if maxsize < 1:
             raise ValueError("maxsize must be at least 1")
         self.maxsize = maxsize
-        self.match_epsilon = match_epsilon
         self._buckets: "OrderedDict[bytes, list[_Entry]]" = OrderedDict()
         self._count = 0
         self._puts = 0
@@ -168,7 +174,7 @@ class _BucketStore:
             if not bucket:
                 return None
             for entry in bucket:
-                if _entries_match(entry.canonical, canonical, self.match_epsilon):
+                if _entries_match(entry.canonical, canonical):
                     self._buckets.move_to_end(key)
                     return entry
             return None
@@ -179,10 +185,7 @@ class _BucketStore:
             bucket = self._buckets.get(key)
             if not bucket:
                 return False
-            return any(
-                _entries_match(entry.canonical, canonical, self.match_epsilon)
-                for entry in bucket
-            )
+            return any(_entries_match(entry.canonical, canonical) for entry in bucket)
 
     def get_many(self, keys: "list[bytes]") -> "dict[bytes, list[_Entry]]":
         """Fetch the buckets for ``keys`` (LRU touch on each present key)."""
@@ -204,7 +207,7 @@ class _BucketStore:
                 if bucket is None:
                     bucket = []
                     self._buckets[key] = bucket
-                if _merge_entry(bucket, entry, self.match_epsilon):
+                if _merge_entry(bucket, entry):
                     self._count += 1
                 self._puts += 1
                 self._buckets.move_to_end(key)
@@ -334,35 +337,22 @@ def _cache_handler(store: _BucketStore):
     return handle
 
 
-def _serve_cache(
-    bootstrap,
-    authkey: bytes,
-    maxsize: int,
-    match_epsilon: float,
-    address,
-    store_path=None,
-    flush_interval: int = DEFAULT_FLUSH_INTERVAL,
-) -> None:
+def _serve_cache(bootstrap, authkey: bytes, store_spec: "BackendSpec", address) -> None:
     """Cache-server process entry point (spawn-safe: module level, plain args).
 
     Binds ``address`` (an ``(host, port)`` pair; port 0 lets the OS choose),
     reports the bound address back through the ``bootstrap`` pipe if one is
-    given, then serves one shared :class:`_BucketStore` until a client sends
-    ``shutdown``.
+    given, then serves the store ``store_spec`` (a ``local:`` spec) creates
+    until a client sends ``shutdown``.
 
-    With a ``store_path`` the store reloads the on-disk corpus at bind time
+    With a ``store`` path the store reloads the on-disk corpus at bind time
     and snapshots it on every exit path short of SIGKILL: the protocol
     ``shutdown`` op, an unexpected listener error, and SIGTERM (which is how
     ``Process.terminate()`` and service managers stop the server).  A SIGKILL
     loses only the puts since the last incremental append.
     """
-    store = _BucketStore(
-        maxsize=maxsize,
-        match_epsilon=match_epsilon,
-        store_path=store_path,
-        flush_interval=flush_interval,
-    )
-    if store_path is not None:
+    store = store_spec.create()
+    if store_spec.store_path is not None:
         import signal
 
         def _graceful_terminate(signum, frame):
@@ -382,37 +372,43 @@ def _serve_cache(
         store.snapshot()
 
 
+def server_store_spec(spec) -> "BackendSpec":
+    """Parse the spec of the store a cache server serves: ``local:`` only.
+
+    The server owns the store and its clients dial it as ``tcp://``, so any
+    other kind raises :class:`ValueError` naming the spec.
+    """
+    spec = parse_backend_spec(spec)
+    if spec.kind != "local":
+        raise ValueError(
+            f"a cache server serves a local store, got {spec.source or spec.canonical!r}; "
+            "pass a 'local:' spec (clients dial the server as tcp://)"
+        )
+    return spec
+
+
 def spawn_cache_server(
     host: str,
     port: int,
     authkey: bytes,
-    maxsize: int,
-    match_epsilon: float,
-    store_path=None,
-    flush_interval: int = DEFAULT_FLUSH_INTERVAL,
+    store_spec: "str | BackendSpec",
     start_timeout: float = 30.0,
 ):
-    """Start a cache-server process; returns ``(process, (host, port))``.
+    """Start a cache-server process serving ``store_spec``'s store.
 
-    The process is a daemon of the caller.  Raises
-    :class:`SharedCacheUnavailable` when it does not report its bound
-    address within ``start_timeout`` seconds.
+    Returns ``(process, (host, port))``.  ``store_spec`` is a ``local:``
+    spec (see :func:`server_store_spec`).  The process is a daemon of the
+    caller.  Raises :class:`SharedCacheUnavailable` when it does not report
+    its bound address within ``start_timeout`` seconds.
     """
     import multiprocessing
 
+    store_spec = server_store_spec(store_spec)
     context = multiprocessing.get_context()
     bootstrap_recv, bootstrap_send = context.Pipe(duplex=False)
     process = context.Process(
         target=_serve_cache,
-        args=(
-            bootstrap_send,
-            bytes(authkey),
-            maxsize,
-            match_epsilon,
-            (host, port),
-            store_path,
-            flush_interval,
-        ),
+        args=(bootstrap_send, bytes(authkey), store_spec, (host, port)),
         daemon=True,
         name="repro-tcp-cache-server",
     )
@@ -459,9 +455,10 @@ class TcpCacheBackend:
     :class:`SharedCacheUnavailable` (callers degrade to a local cache); a
     server that dies *mid-run* degrades the backend — gets miss, puts are
     dropped — and the loss is visible in ``stats()`` as
-    ``unreachable_servers`` (0 or 1) and ``dropped_requests``.  The run keeps
-    its own correctness either way: the cache is a memo, never a source of
-    truth.
+    ``unreachable_servers`` (0 or 1) and ``dropped_requests``.  This is the
+    one place a lost store is absorbed: the front end never sees the
+    failure.  The run keeps its own correctness either way: the cache is a
+    memo, never a source of truth.
 
     A network server is never owned (its lifetime deliberately spans runs
     and hosts): :meth:`close` only drops this process's pooled connection.
@@ -611,32 +608,18 @@ class TcpCacheBackend:
 
 
 #: query keys the backend-spec grammar accepts, in canonical order
-SPEC_QUERY_KEYS = ("store", "flush_every", "maxsize", "match_epsilon")
+SPEC_QUERY_KEYS = ("store", "flush_every", "maxsize")
 
 _SPEC_GRAMMAR = (
-    "local:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X] | "
-    "server:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X] | "
-    "tcp://host:port[?maxsize=N&match_epsilon=X]"
+    "local:[?store=PATH&flush_every=N&maxsize=N] | "
+    "server:[?store=PATH&flush_every=N&maxsize=N] | "
+    "tcp://host:port"
 )
-
-
-def _reject_store_path(address, store_path, source: str) -> None:
-    """The up-front store-path guard: a client of a network server owns no store.
-
-    Raised *before* any backend machinery is touched, naming the offending
-    spec string — a network cache server persists via
-    ``--cache 'local:?store=...'`` on the server side instead.
-    """
-    if store_path is not None and address is not None:
-        raise ValueError(
-            f"store_path applies to the cache server, not the tcp client "
-            f"(spec {source!r}); start the server with --cache 'local:?store=PATH' instead"
-        )
 
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """A parsed cache-backend specification — the one way to spell backends.
+    """A parsed cache-backend specification — the one record of a store's settings.
 
     Produced by :func:`parse_backend_spec`; two spellings that resolve to
     the same configuration compare equal (``source`` keeps the original
@@ -646,8 +629,11 @@ class BackendSpec:
 
     ``kind`` is ``"local"`` or ``"tcp"``.  A ``tcp`` spec without an
     ``address`` (spelled ``server:``) spawns a driver-owned cache server on
-    127.0.0.1 at :meth:`create` time.  Optional fields left as ``None`` fall
-    back to the defaults supplied at :meth:`create` time.
+    127.0.0.1 at :meth:`create` time, serving the store its settings
+    describe.  A ``tcp`` spec *with* an address is a client of a network
+    server, which owns no store, so it carries no store settings.  Settings
+    left as ``None`` take the store defaults.  Construction validates, so a
+    spec that exists is one :meth:`create` can act on.
     """
 
     kind: str
@@ -655,68 +641,63 @@ class BackendSpec:
     store_path: "str | None" = None
     flush_interval: "int | None" = None
     maxsize: "int | None" = None
-    match_epsilon: "float | None" = None
     source: str = field(default="", compare=False)
+
+    def __post_init__(self) -> None:
+        source = self.source or self.canonical
+        if self.address is not None and self._store_settings():
+            raise ValueError(
+                "a tcp:// client owns no store: store_path, flush_every and maxsize "
+                f"apply to the cache server, not the tcp client (spec {source!r}); "
+                "start the server with --cache 'local:?store=PATH' instead"
+            )
+        for name, value in (("flush_every", self.flush_interval), ("maxsize", self.maxsize)):
+            if value is not None and value < 1:
+                raise ValueError(
+                    f"{name} must be at least 1, got {value} in backend spec {source!r}; "
+                    f"expected {_SPEC_GRAMMAR}"
+                )
+
+    def _store_settings(self) -> dict:
+        """The store settings this spec pins, as ``_BucketStore`` keywords."""
+        settings = {
+            "store_path": self.store_path,
+            "flush_interval": self.flush_interval,
+            "maxsize": self.maxsize,
+        }
+        return {name: value for name, value in settings.items() if value is not None}
 
     @property
     def canonical(self) -> str:
         """The canonical URL spelling of this spec."""
         if self.address is not None:
-            base = f"{TCP_URL_PREFIX}{self.address[0]}:{self.address[1]}"
-        else:
-            base = "server:" if self.kind == "tcp" else f"{self.kind}:"
-        query = []
-        if self.store_path is not None:
-            query.append(f"store={self.store_path}")
-        if self.flush_interval is not None:
-            query.append(f"flush_every={self.flush_interval}")
-        if self.maxsize is not None:
-            query.append(f"maxsize={self.maxsize}")
-        if self.match_epsilon is not None:
-            query.append(f"match_epsilon={self.match_epsilon}")
+            return f"{TCP_URL_PREFIX}{self.address[0]}:{self.address[1]}"
+        base = "server:" if self.kind == "tcp" else f"{self.kind}:"
+        query = [
+            f"{name}={value}"
+            for name, value in zip(
+                SPEC_QUERY_KEYS, (self.store_path, self.flush_interval, self.maxsize)
+            )
+            if value is not None
+        ]
         return base + ("?" + "&".join(query) if query else "")
 
-    def create(
-        self,
-        maxsize: int = 512,
-        match_epsilon: float = 1e-9,
-        store_path=None,
-        flush_interval: int = DEFAULT_FLUSH_INTERVAL,
-    ):
-        """Materialize the backend; keyword arguments are *fallbacks* only.
+    def create(self):
+        """Materialize the backend this spec names.
 
-        Values carried by the spec itself (from its query string) win over
-        the keyword defaults, so ``parse_backend_spec(s).create()`` honors
-        everything encoded in ``s``.  Raises :class:`SharedCacheUnavailable`
-        when the platform cannot bring the backend up.
+        Raises :class:`SharedCacheUnavailable` when the platform cannot bring
+        the backend up (``server:`` needs working subprocess/socket
+        machinery, ``tcp://`` a reachable network cache server).
         """
-        maxsize = self.maxsize if self.maxsize is not None else maxsize
-        match_epsilon = self.match_epsilon if self.match_epsilon is not None else match_epsilon
-        store_path = self.store_path if self.store_path is not None else store_path
-        if self.flush_interval is not None:
-            flush_interval = self.flush_interval
-        source = self.source or self.canonical
-        _reject_store_path(self.address, store_path, source)
         if self.kind == "local":
-            return LocalBackend(
-                maxsize=maxsize,
-                match_epsilon=match_epsilon,
-                store_path=store_path,
-                flush_interval=flush_interval,
-            )
+            return LocalBackend(**self._store_settings())
         process = None
         try:
             if self.address is not None:
                 return TcpCacheBackend(self.address)
             authkey = secrets.token_bytes(16)
             process, address = spawn_cache_server(
-                "127.0.0.1",
-                0,
-                authkey,
-                maxsize,
-                match_epsilon,
-                store_path=store_path,
-                flush_interval=flush_interval,
+                "127.0.0.1", 0, authkey, replace(self, kind="local")
             )
             backend = TcpCacheBackend(address, authkey=authkey)
             backend._process = process
@@ -727,7 +708,8 @@ class BackendSpec:
             if isinstance(error, SharedCacheUnavailable):
                 raise
             raise SharedCacheUnavailable(
-                f"tcp cache backend unavailable for {source!r}: {error!r}"
+                f"tcp cache backend unavailable for {self.source or self.canonical!r}: "
+                f"{error!r}"
             ) from error
 
 
@@ -746,15 +728,11 @@ def _parse_spec_query(query: str, source: str) -> dict:
                 f"unknown query key {name!r} in backend spec {source!r}; "
                 f"expected {_SPEC_GRAMMAR}"
             )
+        if name == "store":
+            values["store_path"] = raw
+            continue
         try:
-            if name == "store":
-                values["store_path"] = raw
-            elif name == "flush_every":
-                values["flush_interval"] = int(raw)
-            elif name == "match_epsilon":
-                values["match_epsilon"] = float(raw)
-            else:
-                values[name] = int(raw)
+            values["flush_interval" if name == "flush_every" else name] = int(raw)
         except ValueError as error:
             raise ValueError(
                 f"bad value {raw!r} for query key {name!r} in backend spec {source!r}"
@@ -766,18 +744,21 @@ def parse_backend_spec(spec, parameter: "str | None" = None) -> BackendSpec:
     """Parse a cache-backend spec string into a :class:`BackendSpec`.
 
     The one grammar every cache-configuration surface routes through
-    (``create_backend``, ``share_resynthesis_cache=``, ``resynthesis_cache=``,
-    the serve/coordinator/cache-server ``--cache`` flags)::
+    (``share_resynthesis_cache=``, ``resynthesis_cache=``,
+    ``ResynthesisCache(backend=)``, ``start_tcp_cache_server(cache=)``, the
+    serve/coordinator/cache-server ``--cache`` flags); ``docs/caching.md``
+    documents it::
 
-        local:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X]
-        server:[?store=PATH&flush_every=N&maxsize=N&match_epsilon=X]
-        tcp://host:port[?maxsize=N&match_epsilon=X]
+        local:[?store=PATH&flush_every=N&maxsize=N]
+        server:[?store=PATH&flush_every=N&maxsize=N]
+        tcp://host:port
 
     Validation is up-front: anything else — bare kind names, ``True``,
-    malformed specs, a ``tcp://`` URL naming more than one server, unknown
-    query keys, ``store`` on a client of a network server — raises naming
-    the offending spec (and ``parameter``, the user-facing argument it came
-    in through, when given) before any machinery is touched.
+    malformed specs, a ``tcp://`` URL naming more than one server or
+    carrying a query, unknown query keys, a ``maxsize`` or ``flush_every``
+    below 1 — raises naming the offending spec (and ``parameter``, the
+    user-facing argument it came in through, when given) before any
+    machinery is touched.
     """
     if isinstance(spec, BackendSpec):
         return spec
@@ -792,50 +773,14 @@ def parse_backend_spec(spec, parameter: "str | None" = None) -> BackendSpec:
         host, separator, port = base[len(TCP_URL_PREFIX) :].rpartition(":")
         if not separator or not host or "," in host or not port.isdigit():
             raise ValueError(f"unrecognized backend spec {named}; expected {_SPEC_GRAMMAR}")
-        address = (host, int(port))
         values = _parse_spec_query(query, source)
-        _reject_store_path(address, values.get("store_path"), source)
-        return BackendSpec(kind="tcp", address=address, source=source, **values)
+        return BackendSpec(kind="tcp", address=(host, int(port)), source=source, **values)
     kind, separator, rest = spec.partition(":")
     if separator and kind in ("local", "server") and (not rest or rest[0] == "?"):
         values = _parse_spec_query(rest[1:], source)
         kind = "local" if kind == "local" else "tcp"
         return BackendSpec(kind=kind, source=source, **values)
     raise ValueError(f"unrecognized backend spec {named}; expected {_SPEC_GRAMMAR}")
-
-
-def create_backend(
-    kind,
-    maxsize: int = 512,
-    match_epsilon: float = 1e-9,
-    store_path=None,
-    flush_interval: int = DEFAULT_FLUSH_INTERVAL,
-):
-    """Build a cache backend from a spec, or raise :class:`SharedCacheUnavailable`.
-
-    A thin shim over :func:`parse_backend_spec` + :meth:`BackendSpec.create`:
-    ``kind`` is a spec string (``"local:"``, ``"server:"``,
-    ``"tcp://host:port?..."``) or a :class:`BackendSpec`.  Keyword
-    arguments are fallbacks for anything the spec's query string doesn't pin.
-
-    ``local`` always succeeds; ``server:`` needs working subprocess/socket
-    machinery and ``tcp://`` needs a reachable network cache server, so any
-    bring-up failure is wrapped in :class:`SharedCacheUnavailable` for
-    callers to catch and degrade.
-
-    ``store_path`` attaches the crash-safe disk tier (``docs/caching.md``,
-    "Persistence tier") to the backends that own a store: ``local`` reloads
-    on construction and persists on ``close()``; ``server:`` hands the path
-    to its spawned server.  A client of a network server owns no store, so
-    that combination is rejected up front with an error naming the spec.
-    """
-    spec = parse_backend_spec(kind)
-    return spec.create(
-        maxsize=maxsize,
-        match_epsilon=match_epsilon,
-        store_path=store_path,
-        flush_interval=flush_interval,
-    )
 
 
 __all__ = [
@@ -847,7 +792,6 @@ __all__ = [
     "SPEC_QUERY_KEYS",
     "SharedCacheUnavailable",
     "TcpCacheBackend",
-    "create_backend",
     "drain_connection_pool",
     "parse_backend_spec",
     "tcp_cache_authkey",

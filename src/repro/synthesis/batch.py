@@ -24,9 +24,8 @@ same cache entries and counters, same rng stream.  The load-bearing rules
   takes the full scalar path at its position in the strict item-order
   phase, so the shared annealing rng stream is consumed exactly as the
   scalar loop would.
-* Cache ``get``/``put`` happen strictly in item order, so duplicate blocks,
-  negative (failure) entries, and ``cache_failures=False`` configurations
-  all behave exactly as in the scalar loop.
+* Cache ``get``/``put`` happen strictly in item order, so duplicate blocks
+  and negative (failure) entries behave exactly as in the scalar loop.
 
 This module must not import :mod:`repro.perf` at module level — the perf
 cache imports ``repro.synthesis`` (for :class:`ResynthesisOutcome`), so the

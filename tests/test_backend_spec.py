@@ -3,16 +3,17 @@
 The contract: every cache-configuration surface speaks one grammar,
 ``server:`` is a ``tcp`` spec with no address, and everything else —
 ``True``, bare kind names, the retired ``shm:`` spelling, malformed specs,
-a ``tcp://`` URL naming more than one server, ``store`` on a client of a
-network server — fails up front with an error
-naming the offending spec string and the grammar.
+a ``tcp://`` URL naming more than one server or carrying a query (a client
+of a network server owns no store), a ``maxsize`` or ``flush_every`` below
+1 — fails up front with an error naming the offending spec string and the
+grammar.
 """
 
 import warnings
 
 import pytest
 
-from repro.perf import BackendSpec, ResynthesisCache, create_backend, parse_backend_spec
+from repro.perf import BackendSpec, ResynthesisCache, parse_backend_spec
 from repro.perf.shared_cache import SPEC_QUERY_KEYS
 
 
@@ -36,18 +37,20 @@ class TestGrammar:
         assert spec.maxsize == 99
 
     def test_tcp_url_with_servers_and_query(self):
-        spec = parse_backend_spec("tcp://a:1?maxsize=33&match_epsilon=1e-6")
+        spec = parse_backend_spec("tcp://a:1")
         assert spec.kind == "tcp"
         assert spec.address == ("a", 1)
-        assert spec.maxsize == 33
-        assert spec.match_epsilon == pytest.approx(1e-6)
+        assert spec.canonical == "tcp://a:1"
+        # the client owns no store, so a query is rejected, not ignored
+        with pytest.raises(ValueError, match=r"owns no store.*tcp://a:1\?maxsize=33"):
+            parse_backend_spec("tcp://a:1?maxsize=33")
 
     def test_canonical_round_trips(self):
         for text in (
             "local:",
-            "server:?maxsize=16&match_epsilon=1e-06",
-            "server:?store=/tmp/x.pkl",
-            "tcp://h:9?maxsize=8",
+            "server:?maxsize=16",
+            "server:?store=/tmp/x.pkl&flush_every=3",
+            "tcp://h:9",
         ):
             spec = parse_backend_spec(text)
             assert parse_backend_spec(spec.canonical) == spec
@@ -69,6 +72,13 @@ class TestGrammar:
             "server:?maxsize=notanumber",
             "server:?stripes=2",  # stripes left the grammar with the shm backend
             "tcp://a:1,b:2",  # one server per tcp:// URL
+            "server:?match_epsilon=1e-6",  # the content match is fixed
+            "tcp://a:1?maxsize=33",  # a tcp:// client owns no store
+            "tcp://a:1?match_epsilon=1e-6",
+            "local:?maxsize=0",
+            "server:?maxsize=0",
+            "server:?flush_every=0&store=/tmp/x.bin",
+            "local:?flush_every=-1",
         ],
     )
     def test_malformed_specs_raise_naming_the_spec(self, bad):
@@ -88,7 +98,6 @@ class TestGrammar:
             "store",
             "flush_every",
             "maxsize",
-            "match_epsilon",
         }
 
 
@@ -104,10 +113,13 @@ class TestStorePathValidation:
         with pytest.raises(ValueError, match="store_path.*cache server"):
             parse_backend_spec("tcp://h:1?store=/tmp/x")
 
-    def test_create_backend_validates_before_materializing(self, tmp_path):
-        # Rejected before any server is dialed (port 1 would refuse).
+    def test_spec_validates_before_materializing(self, tmp_path):
+        # A spec built by hand is checked at construction, so create() never
+        # dials a server (port 1 would refuse) for an invalid one.
         with pytest.raises(ValueError, match="store_path"):
-            create_backend("tcp://127.0.0.1:1", store_path=str(tmp_path / "c.pkl"))
+            BackendSpec(kind="tcp", address=("127.0.0.1", 1), store_path=str(tmp_path / "c"))
+        with pytest.raises(ValueError, match="maxsize must be at least 1"):
+            BackendSpec(kind="tcp", maxsize=0)
 
 
 class TestDeprecationShims:
@@ -132,14 +144,18 @@ class TestDeprecationShims:
 class TestSpecRouting:
     """Every surface resolves a given spelling to the same backend."""
 
-    def test_create_backend_accepts_spec_strings_and_objects(self):
-        for spelling in ("local:", parse_backend_spec("local:")):
-            backend = create_backend(spelling, maxsize=17)
-            assert backend.kind == "local"
-
     def test_spec_query_overrides_create_defaults(self):
-        backend = parse_backend_spec("local:?maxsize=5").create(maxsize=512)
-        assert backend.maxsize == 5
+        # The cache's maxsize fills only a spec that leaves it unset.
+        assert ResynthesisCache(maxsize=512, backend="local:?maxsize=5").backend.maxsize == 5
+        assert ResynthesisCache(maxsize=17, backend="local:").backend.maxsize == 17
+        assert parse_backend_spec("local:").create().maxsize == 512
+
+    def test_create_backend_accepts_spec_strings_and_objects(self):
+        # The cache front end builds its backend from either spelling.
+        for spelling in ("local:", parse_backend_spec("local:")):
+            backend = ResynthesisCache(maxsize=17, shared=True, backend=spelling).backend
+            assert backend.kind == "local"
+            assert backend.maxsize == 17
 
     def test_resynthesis_cache_accepts_spec_objects(self):
         cache = ResynthesisCache(shared=True, backend=parse_backend_spec("local:"))
@@ -178,10 +194,34 @@ class TestSpecRouting:
                 cli(["--port", "0", "--cache", bad])
             assert "'tcp://a:1,b:2'; expected local:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad", ["server:?maxsize=0", "server:?flush_every=0&store=/tmp/never.bin"]
+    )
+    def test_out_of_range_store_settings_raise_before_spawning(self, bad):
+        # Range errors surface at parse time, naming the spec — no cache
+        # server process is spawned only to die on its own store settings.
+        import multiprocessing
+        import re
+
+        from repro.circuits import Circuit
+        from repro.core import rewrite_transformations
+        from repro.gatesets import CLIFFORD_T
+        from repro.parallel import PortfolioOptimizer
+        from repro.rewrite import rules_for_gate_set
+
+        before = set(multiprocessing.active_children())
+        optimizer = PortfolioOptimizer(
+            rewrite_transformations(rules_for_gate_set(CLIFFORD_T)),
+            share_resynthesis_cache=bad,
+        )
+        with pytest.raises(ValueError, match=rf"at least 1.*{re.escape(repr(bad))}"):
+            optimizer.optimize(Circuit(2).cx(0, 1))
+        assert set(multiprocessing.active_children()) == before
+
     def test_spec_is_picklable_for_job_records(self):
         import pickle
 
-        spec = parse_backend_spec("tcp://h:1?maxsize=4")
+        spec = parse_backend_spec("server:?maxsize=4&store=/tmp/x.bin")
         assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_spec_equality_ignores_source_in_job_grouping(self):

@@ -74,13 +74,13 @@ def _stats(cache):
     return dataclasses.replace(cache.stats(), token="")
 
 
-def _assert_differential(make_resynthesizer, blocks, cache_kwargs=()):
+def _assert_differential(make_resynthesizer, blocks, cached=True):
     """Run ``blocks`` through both paths and compare everything observable."""
     scalar = make_resynthesizer()
     backend = make_resynthesizer()
-    if cache_kwargs is not None:
-        scalar.attach_cache(ResynthesisCache(**dict(cache_kwargs)))
-        backend.attach_cache(ResynthesisCache(**dict(cache_kwargs)))
+    if cached:
+        scalar.attach_cache(ResynthesisCache())
+        backend.attach_cache(ResynthesisCache())
     engine = BatchResynthesizer(backend)
     expected = scalar.resynthesize_many(blocks)
     got = engine.resynthesize_batch(blocks)
@@ -88,7 +88,7 @@ def _assert_differential(make_resynthesizer, blocks, cache_kwargs=()):
     assert _rng_state(backend) == _rng_state(scalar), (
         "the batched path must consume the rng stream exactly as the scalar loop"
     )
-    if cache_kwargs is not None:
+    if cached:
         assert _stats(backend.cache) == _stats(scalar.cache)
         # Same entries, not just same counters: replaying every lookup
         # against both caches must agree hit-for-hit, outcome-for-outcome.
@@ -149,17 +149,9 @@ class TestCliffordTDifferential:
         blocks = [base[i % len(base)].copy() for i in range(64)]
         _assert_differential(_fast_clifford, blocks)
 
-    def test_duplicates_without_negative_caching(self):
-        # cache_failures=False: a failing block's duplicate re-runs the
-        # whole synthesis (rng and all) in both paths.
-        blocks = [_failing_block(), Circuit(1).t(0), _failing_block()]
-        _assert_differential(
-            _fast_clifford, blocks, cache_kwargs={"cache_failures": False}
-        )
-
     def test_uncached_batch_matches_uncached_scalar_loop(self):
         blocks = _solvable_blocks() + [_failing_block()]
-        _assert_differential(_fast_clifford, blocks, cache_kwargs=None)
+        _assert_differential(_fast_clifford, blocks, cached=False)
 
     def test_guard_rejected_blocks_never_build_unitaries(self):
         # Width-4 blocks exceed max_qubits=3; the scalar path refuses before
@@ -167,7 +159,7 @@ class TestCliffordTDifferential:
         # 4-qubit dense unitary built needlessly would be the regression).
         wide = Circuit(4).cx(0, 1).cx(2, 3)
         blocks = [wide, Circuit(1).t(0), Circuit(2)]
-        expected, _ = _assert_differential(_fast_clifford, blocks, cache_kwargs=None)
+        expected, _ = _assert_differential(_fast_clifford, blocks, cached=False)
         assert expected[0] is None and expected[2] is None
 
     @settings(max_examples=10, deadline=None)

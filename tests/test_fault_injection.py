@@ -2,10 +2,8 @@
 
 The shared-cache stack is a memo, never a source of truth — so every fault
 here must cost hit rate (visibly: counters + notes), never correctness and
-never the run.  ``FaultyBackend`` is the in-process harness: a backend that
-dies with a connection error on cue, which is what a cache server crash
-looks like to a front end.  The remaining tests use real processes: a TCP
-cache server SIGKILLed under a live portfolio, a host agent whose
+never the run.  Every test uses real processes: a TCP cache server
+SIGKILLed under a front end or a live portfolio, a host agent whose
 coordinator vanishes mid-failure, and a coordinator's fd hygiene on exit.
 """
 
@@ -35,7 +33,7 @@ from repro.distrib import (
 from repro.distrib.worker import HostAgent, build_cases, distrib_authkey, run_case
 from repro.gatesets import CLIFFORD_T
 from repro.parallel import PortfolioConfig, PortfolioOptimizer
-from repro.perf import LocalBackend, ResynthesisCache, TcpCacheBackend
+from repro.perf import ResynthesisCache, TcpCacheBackend
 from repro.perf.report import PerfReport
 from repro.rewrite import rules_for_gate_set
 from repro.rpc import _CONNECTIONS
@@ -52,95 +50,79 @@ def cnot_conjugated_rz(angle: float = 0.5) -> Circuit:
     return circuit
 
 
-class FaultyBackend:
-    """A shared-store stand-in that dies after ``fail_after`` operations.
+@pytest.fixture
+def doomed_cache():
+    """``(cache, kill)``: a shared front end on a live tcp cache server, and
+    a callable that SIGKILLs that server — a cache server crash exactly as
+    the front end sees one."""
+    process, address = start_tcp_cache_server(cache="local:?maxsize=64")
+    cache = ResynthesisCache(maxsize=64, shared=True, backend=TcpCacheBackend(address))
 
-    Wraps a real :class:`LocalBackend` but masquerades as a cross-process
-    backend (``kind="tcp"``), so the front end takes its shared-store
-    paths (L1, write buffer, remote-hit attribution) — and then sees the
-    store vanish exactly the way a killed cache server process would: every
-    round trip raises a connection-level error.
-    """
+    def kill():
+        os.kill(process.pid, signal.SIGKILL)
+        process.join(timeout=10.0)
 
-    kind = "tcp"
-
-    def __init__(self, fail_after: int = 0) -> None:
-        self.inner = LocalBackend(maxsize=64)
-        self.fail_after = fail_after
-        self.operations = 0
-
-    def _maybe_fail(self) -> None:
-        self.operations += 1
-        if self.operations > self.fail_after:
-            raise ConnectionError("injected backend fault")
-
-    def get_many(self, keys):
-        self._maybe_fail()
-        return self.inner.get_many(keys)
-
-    def put_many(self, items):
-        self._maybe_fail()
-        self.inner.put_many(items)
-
-    def stats(self):
-        return self.inner.stats()
-
-    def clear(self):
-        self.inner.clear()
-
-    def close(self):
-        pass
-
-    def __len__(self):
-        return len(self.inner)
+    try:
+        yield cache, kill
+    finally:
+        cache.close()
+        if process.is_alive():
+            kill()
 
 
 class TestFrontEndDegradation:
-    """A dead shared store degrades the front end to local misses, visibly."""
+    """A killed cache server degrades the front end to local misses, visibly.
 
-    def _cache(self, fail_after: int = 0) -> ResynthesisCache:
-        return ResynthesisCache(
-            maxsize=64, shared=True, backend=FaultyBackend(fail_after=fail_after)
-        )
+    The tcp backend is the one place a lost store is absorbed: lookups on it
+    miss, writes to it are dropped, and both count as ``dropped_requests``.
+    """
 
-    def test_lookup_on_dead_backend_is_a_miss_not_a_crash(self):
-        cache = self._cache()
+    def test_lookup_on_dead_backend_is_a_miss_not_a_crash(self, doomed_cache):
+        cache, kill = doomed_cache
+        kill()
         hit, outcome = cache.get(cnot_conjugated_rz().unitary(), epsilon=EPS)
         assert (hit, outcome) == (False, None)
-        assert cache.stats().backend_failures >= 1
+        stats = cache.stats()
+        assert stats.dropped_requests >= 1 and stats.unreachable_servers == 1
 
-    def test_put_on_dead_backend_is_dropped_not_raised(self):
-        cache = self._cache()
+    def test_put_on_dead_backend_is_dropped_not_raised(self, doomed_cache):
+        cache, kill = doomed_cache
+        kill()
         block = cnot_conjugated_rz()
         cache.put(block.unitary(), ResynthesisOutcome(Circuit(2).rzz(0.5, 0, 1), 0.0, 0.0))
         cache.flush()
-        assert cache.stats().backend_failures >= 1
+        stats = cache.stats()
+        assert stats.dropped_requests >= 1 and stats.unreachable_servers == 1
 
-    def test_own_l1_entries_survive_the_backend_death(self):
-        # One successful put, then the store dies: the worker keeps hitting
+    def test_own_l1_entries_survive_the_backend_death(self, doomed_cache):
+        # One put reaches the server, then it dies: the worker keeps hitting
         # on its own recent entries through the L1 read cache while fresh
         # keys degrade to misses.
-        cache = self._cache(fail_after=1)
+        cache, kill = doomed_cache
         block = cnot_conjugated_rz(0.3)
         cache.put(block.unitary(), ResynthesisOutcome(Circuit(2).rzz(0.3, 0, 1), 0.0, 0.0))
         cache.flush()
+        kill()
         hit, _ = cache.get(block.unitary(), epsilon=EPS)
         assert hit, "own entries must keep hitting from L1 after the store dies"
         hit, _ = cache.get(cnot_conjugated_rz(0.7).unitary(), epsilon=EPS)
         assert not hit
         stats = cache.stats()
-        assert stats.hits == 1 and stats.backend_failures >= 1
+        assert stats.hits == 1 and stats.dropped_requests >= 1
 
-    def test_failure_note_is_recorded_once(self):
-        cache = self._cache()
+    def test_failure_note_is_recorded_once(self, doomed_cache):
+        cache, kill = doomed_cache
+        kill()
         for angle in (0.1, 0.2, 0.3):
             cache.get(cnot_conjugated_rz(angle).unitary(), epsilon=EPS)
-        failure_notes = [note for note in cache.notes if "failed mid-run" in note]
+            cache.stats()
+        failure_notes = [note for note in cache.notes if "tcp cache degraded mid-run" in note]
         assert len(failure_notes) == 1, cache.notes
-        assert cache.stats().backend_failures >= 3
+        assert cache.stats().dropped_requests >= 3
 
-    def test_backend_failures_count_as_dropped_in_perf_reports(self):
-        cache = self._cache()
+    def test_backend_failures_count_as_dropped_in_perf_reports(self, doomed_cache):
+        cache, kill = doomed_cache
+        kill()
         cache.get(cnot_conjugated_rz().unitary(), epsilon=EPS)
         report = PerfReport(caches=[cache.stats()], notes=list(cache.notes))
         assert report.cache_dropped_requests >= 1
@@ -159,7 +141,7 @@ class TestBatchDispatchFaults:
     def test_tcp_batch_synthesis_on_dead_servers_counts_dropped(self):
         from repro.synthesis.batch import resynthesizer_spec
 
-        process, address = start_tcp_cache_server(maxsize=64)
+        process, address = start_tcp_cache_server(cache="local:?maxsize=64")
         backend = TcpCacheBackend(address)
         os.kill(process.pid, signal.SIGKILL)
         process.join(timeout=10.0)
@@ -196,7 +178,7 @@ class TestFlakyTcpServer:
     """A cache server killed mid-run degrades the backend — and says so."""
 
     def test_mid_run_server_death_degrades_and_surfaces(self):
-        process, address = start_tcp_cache_server(maxsize=64)
+        process, address = start_tcp_cache_server(cache="local:?maxsize=64")
         cache = ResynthesisCache(shared=True, backend=TcpCacheBackend(address))
         try:
             block = cnot_conjugated_rz()
@@ -219,7 +201,7 @@ class TestFlakyTcpServer:
         # The server dies before the run even starts its lookups: every
         # cache round trip of the whole portfolio is shed — and the run must
         # still complete, with the loss visible on the result object.
-        process, address = start_tcp_cache_server(maxsize=64)
+        process, address = start_tcp_cache_server(cache="local:?maxsize=64")
         backend = TcpCacheBackend(address)
         os.kill(process.pid, signal.SIGKILL)
         process.join(timeout=10.0)
@@ -418,7 +400,7 @@ class TestCoordinatorHygiene:
         # against tcp caches; serve() must leave no pooled fds behind.
         import multiprocessing
 
-        process, address = start_tcp_cache_server(maxsize=64)
+        process, address = start_tcp_cache_server(cache="local:?maxsize=64")
         backend = TcpCacheBackend(address)
         try:
             assert backend.ping()

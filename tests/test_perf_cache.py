@@ -106,23 +106,15 @@ class TestCacheCore:
         assert hit and outcome is None
         assert cache.stats().negative_entries == 1
 
-    def test_cache_failures_off_skips_negative_entries(self):
-        cache = ResynthesisCache(maxsize=8, cache_failures=False)
-        unitary = Circuit(1).h(0).unitary()
-        cache.put(unitary, None)
-        hit, _ = cache.get(unitary)
-        assert not hit
-        assert len(cache) == 0
-
     def test_key_collisions_are_disambiguated_by_exact_content(self):
         """Entries forced into one hash bucket never cross-contaminate."""
-        cache = ResynthesisCache(maxsize=8, verify_hits=False)
+        cache = ResynthesisCache(maxsize=8)
         # Force every unitary into the same bucket: keys collide, so only
         # the exact-content scan can tell the entries apart.
         original = canonicalize_unitary
 
-        def colliding(unitary, decimals=6):
-            _, perm, canonical = original(unitary, decimals)
+        def colliding(unitary):
+            _, perm, canonical = original(unitary)
             return b"colliding-key", perm, canonical
 
         import repro.perf.cache as cache_module
@@ -145,7 +137,7 @@ class TestCacheCore:
     def test_verify_hits_rejects_poisoned_entries(self):
         """A corrupted entry is refused instead of returned (soundness)."""
         block = cnot_conjugated_rz(0, 1)
-        cache = ResynthesisCache(maxsize=8, verify_hits=True)
+        cache = ResynthesisCache(maxsize=8)
         wrong = Circuit(2).cx(0, 1)  # not equivalent to the block
         cache.put(block.unitary(), ResynthesisOutcome(wrong, 0.0, 0.0))
         hit, _ = cache.get(block.unitary(), epsilon=EPS)
@@ -320,7 +312,7 @@ class TestEngineIntegration:
 
         def recording_lookup(key, canonical):
             l1_hit = any(
-                _entries_match(entry.canonical, canonical, cache.match_epsilon)
+                _entries_match(entry.canonical, canonical)
                 for entry in cache._l1.get(key, ())
             )
             before = len(backend.reads)

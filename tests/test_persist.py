@@ -20,7 +20,7 @@ import pytest
 from repro.circuits import Circuit
 from repro.circuits.metrics import circuit_distance
 from repro.distrib import circuit_fingerprint, start_tcp_cache_server
-from repro.perf import ResynthesisCache, TcpCacheBackend, create_backend
+from repro.perf import ResynthesisCache, TcpCacheBackend, parse_backend_spec
 from repro.perf.persist import (
     CORPUS_VERSION,
     MAGIC,
@@ -221,16 +221,10 @@ class TestBucketStorePersistence:
         path = tmp_path / "store.bin"
         block = cnot_conjugated_rz()
         replacement = Circuit(2).rzz(0.5, 0, 1)
-        first = ResynthesisCache(
-            shared=True,
-            backend=create_backend("local:", maxsize=64, store_path=path),
-        )
+        first = ResynthesisCache(maxsize=64, shared=True, backend=f"local:?store={path}")
         first.put(block.unitary(), ResynthesisOutcome(replacement, 0.0, 0.0))
         first.close()
-        second = ResynthesisCache(
-            shared=True,
-            backend=create_backend("local:", maxsize=64, store_path=path),
-        )
+        second = ResynthesisCache(maxsize=64, shared=True, backend=f"local:?store={path}")
         hit, outcome = second.get(block.unitary(), epsilon=EPS)
         assert hit, "a reopened local store must serve the previous run's entry"
         assert circuit_fingerprint(outcome.circuit) == circuit_fingerprint(replacement)
@@ -238,19 +232,19 @@ class TestBucketStorePersistence:
 
     def test_store_path_rejected_for_storeless_backends(self):
         with pytest.raises(ValueError, match="--cache 'local:\\?store=PATH'"):
-            create_backend("tcp://127.0.0.1:1", store_path="/tmp/nope.bin")
+            parse_backend_spec("tcp://127.0.0.1:1?store=/tmp/nope.bin")
 
 
 class TestServerPersistence:
     def test_server_backend_restarts_warm(self, tmp_path):
         path = tmp_path / "store.bin"
         key, entry = _entry(0.1)
-        backend = create_backend(f"server:?store={path}&maxsize=64")
+        backend = parse_backend_spec(f"server:?store={path}&maxsize=64").create()
         try:
             backend.put_many([(key, entry)])
         finally:
             backend.close()  # clean shutdown snapshots
-        restarted = create_backend(f"server:?store={path}&maxsize=64")
+        restarted = parse_backend_spec(f"server:?store={path}&maxsize=64").create()
         try:
             found = restarted.get_many([key])
             assert key in found
@@ -267,7 +261,7 @@ class TestServerPersistence:
         block = cnot_conjugated_rz()
         replacement = Circuit(2).rzz(0.5, 0, 1)
         process, address = start_tcp_cache_server(
-            maxsize=64, store_path=path, flush_interval=1
+            cache=f"local:?maxsize=64&store={path}&flush_every=1"
         )
         try:
             cache = ResynthesisCache(shared=True, backend=TcpCacheBackend(address))
@@ -277,7 +271,7 @@ class TestServerPersistence:
         finally:
             os.kill(process.pid, signal.SIGKILL)
             process.join(timeout=10.0)
-        restarted, address = start_tcp_cache_server(maxsize=64, store_path=path)
+        restarted, address = start_tcp_cache_server(cache=f"local:?maxsize=64&store={path}")
         try:
             warm = ResynthesisCache(shared=True, backend=TcpCacheBackend(address))
             hit, outcome = warm.get(block.unitary(), epsilon=EPS)
@@ -302,7 +296,7 @@ class TestServerPersistence:
         path = tmp_path / "store.bin"
         key, entry = _entry(0.3)
         process, address = start_tcp_cache_server(
-            maxsize=64, store_path=path, flush_interval=10_000
+            cache=f"local:?maxsize=64&store={path}&flush_every=10000"
         )
         backend = TcpCacheBackend(address)
         try:
@@ -321,7 +315,7 @@ class TestServerPersistence:
         # or its clients — it serves an empty store and says why.
         path = tmp_path / "store.bin"
         path.write_bytes(b"\x00garbage\xff" * 64)
-        process, address = start_tcp_cache_server(maxsize=64, store_path=path)
+        process, address = start_tcp_cache_server(cache=f"local:?maxsize=64&store={path}")
         try:
             backend = TcpCacheBackend(address)
             assert backend.ping()

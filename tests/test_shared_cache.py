@@ -23,7 +23,7 @@ from repro.core import (
 )
 from repro.gatesets import CLIFFORD_T
 from repro.parallel import PortfolioConfig, PortfolioOptimizer
-from repro.perf import ResynthesisCache, SharedCacheUnavailable, create_backend
+from repro.perf import ResynthesisCache, SharedCacheUnavailable, parse_backend_spec
 from repro.perf.shared_cache import _BucketStore, _Entry
 from repro.rewrite import rules_for_gate_set
 from repro.suite.generators import random_clifford_t
@@ -173,7 +173,7 @@ class TestBackendSemantics:
 
     def test_server_eviction_respects_maxsize(self):
         try:
-            backend = create_backend("server:?maxsize=4")
+            backend = parse_backend_spec("server:?maxsize=4").create()
         except SharedCacheUnavailable as error:  # pragma: no cover
             pytest.skip(f"server backend unavailable here: {error}")
         cache = ResynthesisCache(maxsize=4, shared=True, backend=backend)
@@ -226,12 +226,12 @@ class TestBackendSemantics:
 
         original = cache_module.canonicalize_unitary
 
-        def colliding(unitary, decimals=6):
-            _, perm, canonical = original(unitary, decimals)
+        def colliding(unitary):
+            _, perm, canonical = original(unitary)
             return b"colliding-key", perm, canonical
 
         monkeypatch.setattr(cache_module, "canonicalize_unitary", colliding)
-        cache = _shared_cache(kind, verify_hits=False)
+        cache = _shared_cache(kind)
         try:
             sibling = pickle.loads(pickle.dumps(cache))
             block = cnot_conjugated_rz(0, 1)
@@ -253,7 +253,7 @@ class TestBackendSemantics:
 
     def test_server_rejects_unknown_ops(self):
         try:
-            backend = create_backend("server:?maxsize=8")
+            backend = parse_backend_spec("server:?maxsize=8").create()
         except SharedCacheUnavailable as error:  # pragma: no cover
             pytest.skip(f"server backend unavailable here: {error}")
         try:
@@ -358,14 +358,16 @@ class TestPortfolioIntegration:
 
     def test_fallback_to_local_when_shared_backend_unavailable(self, monkeypatch):
         import repro.parallel.portfolio as portfolio_module
-        import repro.perf.shared_cache as shared_cache_module
+        from repro.perf import BackendSpec
 
-        def refuse(kind, **kwargs):
-            raise SharedCacheUnavailable("forced by test")
+        create = BackendSpec.create
 
-        monkeypatch.setattr(shared_cache_module, "create_backend", refuse)
-        # the portfolio resolves create_backend lazily from the module, so the
-        # monkeypatched symbol is what it sees
+        def refuse(spec):
+            if spec.kind != "local":
+                raise SharedCacheUnavailable("forced by test")
+            return create(spec)
+
+        monkeypatch.setattr(BackendSpec, "create", refuse)
         circuit = random_clifford_t(3, 20, seed=4)
         optimizer = portfolio_module.PortfolioOptimizer(
             _clifford_t_transformations(),
@@ -419,7 +421,7 @@ def tcp_server():
     """One live TCP cache server's address; terminated after the test."""
     from repro.distrib import start_tcp_cache_server
 
-    process, address = start_tcp_cache_server(maxsize=64)
+    process, address = start_tcp_cache_server(cache="local:?maxsize=64")
     try:
         yield address
     finally:
@@ -451,10 +453,8 @@ class TestTcpCacheBackend:
             backend.close()
 
     def test_unreachable_server_raises_unavailable(self):
-        from repro.perf import create_backend
-
         with pytest.raises(SharedCacheUnavailable):
-            create_backend("tcp://127.0.0.1:1")
+            parse_backend_spec("tcp://127.0.0.1:1").create()
 
     def test_url_parsing(self):
         from repro.perf import parse_backend_spec
@@ -469,7 +469,7 @@ class TestTcpCacheBackend:
         from repro.distrib import start_tcp_cache_server
         from repro.perf import TcpCacheBackend
 
-        process, address = start_tcp_cache_server(maxsize=64)
+        process, address = start_tcp_cache_server(cache="local:?maxsize=64")
         backend = TcpCacheBackend(address)
         try:
             key, entry = _tcp_entry()
@@ -537,7 +537,7 @@ class TestConnectionPoolLifecycle:
 
     def test_server_backend_close_is_idempotent(self):
         try:
-            backend = create_backend("server:?maxsize=8")
+            backend = parse_backend_spec("server:?maxsize=8").create()
         except SharedCacheUnavailable as error:  # pragma: no cover
             pytest.skip(f"server backend unavailable here: {error}")
         assert backend.ping()
@@ -550,7 +550,7 @@ class TestConnectionPoolLifecycle:
         from repro.rpc import _CONNECTIONS, _pool_key
 
         try:
-            backend = create_backend("server:?maxsize=8")
+            backend = parse_backend_spec("server:?maxsize=8").create()
         except SharedCacheUnavailable as error:  # pragma: no cover
             pytest.skip(f"server backend unavailable here: {error}")
         assert backend.ping()
@@ -565,7 +565,7 @@ class TestConnectionPoolLifecycle:
 
         # Two backends on two different servers pool two connections.
         try:
-            owned = create_backend("server:?maxsize=8")
+            owned = parse_backend_spec("server:?maxsize=8").create()
         except SharedCacheUnavailable as error:  # pragma: no cover
             pytest.skip(f"server backend unavailable here: {error}")
         backend = TcpCacheBackend(tcp_server)
@@ -592,7 +592,7 @@ class TestConnectionPoolLifecycle:
         from repro.distrib import start_tcp_cache_server
         from repro.perf import TcpCacheBackend
 
-        process, address = start_tcp_cache_server(maxsize=64)
+        process, address = start_tcp_cache_server(cache="local:?maxsize=64")
         backend = TcpCacheBackend(address)
         restarted = None
         try:
@@ -601,7 +601,7 @@ class TestConnectionPoolLifecycle:
             process.terminate()
             process.join(timeout=10.0)
             # Same port, fresh (cold) server: the pooled socket is stale.
-            restarted, _ = start_tcp_cache_server(port=address[1], maxsize=64)
+            restarted, _ = start_tcp_cache_server(port=address[1], cache="local:?maxsize=64")
             stats = backend.stats()  # the stale socket is redialed, not sent on
             assert stats["unreachable_servers"] == 0
             assert stats["entries"] == 0  # the restarted store is cold
