@@ -20,11 +20,6 @@ the processes portfolio — and, in the ``distrib-smoke`` job, that
 report ``cache_dropped_requests`` and the value must be 0 everywhere — the
 counter a degraded tcp backend increments when it silently sheds traffic
 after a mid-run server death.
-``--require-steals`` asserts that some benchmark reported ``steals > 0`` —
-the signal that elastic work stealing really rebalanced a straggler's tail
-in the distrib-smoke cluster.  ``--require-zero-lost`` asserts that
-``cases_lost`` is reported and 0 everywhere: every planned run completed
-exactly once, none forfeited to a host loss.
 
 The smoke benches' own wall-clock comparisons are gated here too, always:
 any benchmark whose ``extra_info`` records both sides of a
@@ -127,8 +122,6 @@ def check(
     require_cache_hits: bool,
     require_remote_hits: bool = False,
     require_zero_dropped: bool = False,
-    require_steals: bool = False,
-    require_zero_lost: bool = False,
     abs_slack: float = DEFAULT_ABS_SLACK,
 ) -> int:
     means, extras = load_bench_means(bench_path)
@@ -224,40 +217,6 @@ def check(
         else:
             print(f"HEALTHY  cache_dropped_requests == 0 across {len(dropped)} benchmark(s)")
 
-    if require_steals:
-        steals = {
-            name: info["steals"] for name, info in extras.items() if "steals" in info
-        }
-        if not any(count > 0 for count in steals.values()):
-            failures.append(
-                "no benchmark reported steals > 0 in extra_info — elastic work "
-                f"stealing never rebalanced the straggler (saw: {steals or 'none'})"
-            )
-        else:
-            print(f"ELASTIC  best reported steals: {max(steals.values())}")
-
-    if require_zero_lost:
-        lost = {
-            name: info["cases_lost"]
-            for name, info in extras.items()
-            if "cases_lost" in info
-        }
-        if not lost:
-            # Same rationale as the dropped-requests gate: a missing counter
-            # must fail loudly, not make the gate vacuous.
-            failures.append(
-                "no benchmark reported cases_lost in extra_info — the "
-                "zero-lost-cases gate has nothing to check"
-            )
-        elif any(count > 0 for count in lost.values()):
-            forfeited = {name: count for name, count in lost.items() if count > 0}
-            failures.append(
-                f"planned case runs were lost: {forfeited} (a host's completed "
-                "work was forfeited or a run never finished)"
-            )
-        else:
-            print(f"COMPLETE cases_lost == 0 across {len(lost)} benchmark(s)")
-
     if failures:
         print("\nperf regression gate FAILED:", file=sys.stderr)
         for failure in failures:
@@ -305,22 +264,6 @@ def main(argv: "list[str] | None" = None) -> int:
         ),
     )
     parser.add_argument(
-        "--require-steals",
-        action="store_true",
-        help=(
-            "fail unless some benchmark reports extra_info steals > 0 "
-            "(elastic work stealing rebalanced a straggler)"
-        ),
-    )
-    parser.add_argument(
-        "--require-zero-lost",
-        action="store_true",
-        help=(
-            "fail unless extra_info cases_lost is reported and 0 everywhere "
-            "(every planned case run completed exactly once)"
-        ),
-    )
-    parser.add_argument(
         "--update-baseline",
         action="store_true",
         help="rewrite the baseline from this BENCH json instead of checking",
@@ -337,8 +280,6 @@ def main(argv: "list[str] | None" = None) -> int:
         args.require_cache_hits,
         require_remote_hits=args.require_remote_hits,
         require_zero_dropped=args.require_zero_dropped,
-        require_steals=args.require_steals,
-        require_zero_lost=args.require_zero_lost,
         abs_slack=args.abs_slack,
     )
 

@@ -7,10 +7,10 @@ its own box; see ``docs/distributed.md``).
 
 Two phases:
 
-1. **Determinism** — a 2-"host" sharded run of a small FTQC suite is
-   compared, fingerprint for fingerprint, against the single-host execution
-   of the same seed and shard plan.  The merge is machine-count-agnostic,
-   so they must be bit-identical.
+1. **Determinism** — a 2-"host" run of a small FTQC suite is compared,
+   fingerprint for fingerprint, against the single-host execution of the
+   same seed and run plan.  The merge is machine-count-agnostic, so they
+   must be bit-identical.
 2. **Cross-host cache** — both hosts optimize replicas of the same
    repeated-block circuit while attached to one TCP cache server; each
    host's lookups start hitting entries the *other machine* synthesized,
@@ -26,8 +26,8 @@ import multiprocessing
 from repro.distrib import (
     Coordinator,
     DistributedJob,
-    make_shard_plan,
-    run_host_agent,
+    HostAgent,
+    make_run_plan,
     run_local,
     start_tcp_cache_server,
 )
@@ -39,8 +39,7 @@ def run_cluster(job, plan, hosts=2, timeout=300.0):
     address = coordinator.start()
     context = multiprocessing.get_context()
     agents = [
-        context.Process(target=run_host_agent, args=(address,), kwargs={"name": f"host-{i}"})
-        for i in range(hosts)
+        context.Process(target=HostAgent(address, name=f"host-{i}").run) for i in range(hosts)
     ]
     for agent in agents:
         agent.start()
@@ -51,7 +50,7 @@ def run_cluster(job, plan, hosts=2, timeout=300.0):
 
 
 def determinism_demo() -> None:
-    print("== sharded suite run vs single-host baseline ==")
+    print("== distributed suite run vs single-host baseline ==")
     job = DistributedJob(
         suite="ftqc",
         scale="tiny",
@@ -60,15 +59,11 @@ def determinism_demo() -> None:
         num_workers=2,
         exchange_interval=30,
     )
-    plan = make_shard_plan(
-        ["ghz_5", "bv_5", "tof_4", "grover_3"], num_shards=4, root_seed=7, replicas=2
-    )
+    plan = make_run_plan(["ghz_5", "bv_5", "tof_4", "grover_3"], root_seed=7, replicas=2)
     print(f"plan: {plan.describe()}")
     baseline = run_local(job, plan)
     distributed = run_cluster(job, plan, hosts=2)
-    print(f"hosts: {', '.join(distributed.hosts)}; shard owners {distributed.shard_hosts}")
-    for event in distributed.steals:
-        print(f"  steal: {event}")
+    print(f"hosts: {', '.join(distributed.hosts)}")
     for case in distributed.cases:
         merged = case.merged
         print(
@@ -97,9 +92,10 @@ def shared_cache_demo() -> None:
             synthesis_time_budget=0.3,
             share_resynthesis_cache=url,
         )
-        # Two replicas of one circuit, one per host: every remote hit below
+        # Two replicas of one circuit: a host holds one run at a time, so
+        # with both hosts up each runs one replica, and a remote hit below
         # was served by a block the *other host* synthesized.
-        plan = make_shard_plan(["repeated_blocks"], num_shards=2, root_seed=17, replicas=2)
+        plan = make_run_plan(["repeated_blocks"], root_seed=17, replicas=2)
         result = run_cluster(job, plan)
         perf = result.perf
         print(

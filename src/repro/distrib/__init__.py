@@ -1,22 +1,20 @@
-"""Distributed evaluation: shard suites across hosts, share one cache.
+"""Distributed evaluation: spread suite runs across hosts, share one cache.
 
 The single-machine axis (portfolio workers + cross-process shared cache)
 tops out at one box; this package scales the *other* axis.  Three
 cooperating parts, each runnable standalone (see ``docs/distributed.md``):
 
 * the **coordinator** (:mod:`repro.distrib.coordinator`) deterministically
-  shards a benchmark suite — or replicated portfolio groups for one
-  circuit — into a :class:`~repro.distrib.plan.ShardPlan`, streams case
-  batches to registered host agents over :mod:`repro.rpc`,
-  steals the tail of a slow host's batch for idle ones, re-queues only the
-  *unfinished* runs lost to host failures, optionally relays the global
-  best incumbent per case back to working replicas
-  (``cross_host_exchange``), and merges returned results under the
-  portfolio's machine-count-agnostic semantics;
-* **host agents** (:mod:`repro.distrib.worker`) pull case batches and run
-  them through local :class:`~repro.parallel.PortfolioOptimizer` instances
-  one exchange round at a time, reporting each finished run (with its
-  :class:`~repro.perf.PerfReport`) as it completes;
+  turns a benchmark suite — or replicated portfolio groups for one
+  circuit — into a :class:`~repro.distrib.plan.RunPlan`, hands its runs one
+  at a time to registered host agents over :mod:`repro.rpc`, re-queues a
+  run lost to a host failure, optionally relays the global best incumbent
+  per case back to working replicas (``cross_host_exchange``), and merges
+  returned results under the portfolio's machine-count-agnostic semantics;
+* **host agents** (:mod:`repro.distrib.worker`) pull one run at a time and
+  execute it through a local :class:`~repro.parallel.PortfolioOptimizer`
+  one exchange round at a time, reporting the finished run (with its
+  :class:`~repro.perf.PerfReport`) before pulling the next;
 * the **cache server** (:mod:`repro.distrib.cache_server`) serves a shared
   resynthesis store over TCP that
   :class:`~repro.perf.shared_cache.TcpCacheBackend` clients on every host
@@ -24,8 +22,8 @@ cooperating parts, each runnable standalone (see ``docs/distributed.md``):
 
 Determinism contract: with a root seed and iteration-bounded runs (and no
 cross-host cache or cross-host exchange coupling trajectories), the merged
-result is a pure function of ``root seed + shard plan`` — independent of
-host count, work stealing, completion order, and mid-run host losses.
+result is a pure function of ``root seed + run plan`` — independent of
+host count, completion order, and mid-run host losses.
 """
 
 # Exports resolve lazily so ``python -m repro.distrib.<cli>`` does not
@@ -43,14 +41,12 @@ _EXPORT_MODULES = {
     "CaseRun": "repro.distrib.plan",
     "DistributedJob": "repro.distrib.plan",
     "JOB_SUITES": "repro.distrib.plan",
-    "Shard": "repro.distrib.plan",
-    "ShardPlan": "repro.distrib.plan",
+    "RunPlan": "repro.distrib.plan",
     "job_case_names": "repro.distrib.plan",
-    "make_shard_plan": "repro.distrib.plan",
+    "make_run_plan": "repro.distrib.plan",
     "validate_job_cases": "repro.distrib.plan",
     "DEFAULT_DISTRIB_AUTHKEY": "repro.distrib.worker",
     "HostAgent": "repro.distrib.worker",
-    "run_host_agent": "repro.distrib.worker",
     "run_local": "repro.distrib.worker",
 }
 
@@ -79,15 +75,13 @@ __all__ = [
     "DistributedSuiteResult",
     "HostAgent",
     "JOB_SUITES",
-    "Shard",
-    "ShardPlan",
+    "RunPlan",
     "circuit_fingerprint",
     "job_case_names",
-    "make_shard_plan",
+    "make_run_plan",
     "merge_case_results",
     "merge_portfolio_results",
     "result_fingerprint",
-    "run_host_agent",
     "run_local",
     "start_tcp_cache_server",
     "validate_job_cases",

@@ -1,26 +1,20 @@
-"""Suite-sharding coordinator: one merge point for many host agents.
+"""Run-dispatching coordinator: one merge point for many host agents.
 
 ``python -m repro.distrib.coordinator`` listens on an ``AF_INET``
 :mod:`repro.rpc` server (the transport the cache and job servers speak),
-deterministically shards a benchmark
-suite into a :class:`~repro.distrib.plan.ShardPlan`, and serves *case
-batches* to whichever host agents (:mod:`repro.distrib.worker`) register —
-a pull model, so hosts of different speeds self-balance and the coordinator
-never needs to know the cluster size in advance.
+turns a benchmark suite into a deterministic
+:class:`~repro.distrib.plan.RunPlan`, and hands its runs out one at a time
+to whichever host agents (:mod:`repro.distrib.worker`) register — a pull
+model, so hosts of different speeds self-balance and the coordinator never
+needs to know the cluster size in advance.
 
-The protocol is anytime and elastic (see ``docs/distributed.md`` for the
-wire format):
+The protocol is anytime (see ``docs/distributed.md`` for the wire format):
 
-* **Case-granular progress** — agents report each
-  :class:`~repro.distrib.plan.CaseRun` as it finishes (``case-result``),
-  not one opaque blob per shard, so the coordinator's ledger always knows
-  exactly which runs are done.  A lost host forfeits only its *unfinished*
-  runs; everything it already reported survives.
-* **Elastic work stealing** — when an idle host asks for work and the
-  queue is empty, the coordinator splits the tail off the largest
-  outstanding assignment and hands it over.  Sound because run seeds live
-  in the plan (derived from the root seed, never from the executing host),
-  so a stolen run computes bit-for-bit what the victim would have.
+* **One run per pull** — ``next`` hands a host exactly one
+  :class:`~repro.distrib.plan.CaseRun` from a plan-ordered queue, and the
+  host reports it (``case-result``) before pulling again.  A host never
+  holds work it is not running, so an idle host always finds the queue's
+  next run and a straggler delays only the one run it is executing.
 * **Cross-host incumbent exchange** (``job.cross_host_exchange``) — agents
   periodically publish their best ``(cost, error bound, circuit)`` per run;
   the coordinator keeps a per-case global board and relays strictly better
@@ -30,25 +24,23 @@ wire format):
   hold across machines.
 
 Failure semantics: a run is *outstanding* from dispatch until its result
-arrives.  If the owning connection drops (host crash, network cut) the
-unfinished remainder of its assignment goes back on the queue; if the host
-reports a per-case execution error, just that run is re-queued.  Because
-run seeds live in the plan, a re-run reproduces what the lost host would
-have computed, so re-queuing never perturbs the merged outcome.  Results
-for a run that somehow completes twice keep the first arrival.  Re-queuing
-is capped per run: a run that keeps failing is failing *deterministically*
-(same seeds everywhere) and the coordinator aborts — and an aborted (or
-timed-out) run answers every subsequent agent message with an explicit
-``abort`` so connected agents exit cleanly instead of crunching for a dead
-run.  The run finishes when every planned run has a result; merging
-(:mod:`repro.distrib.merge`) then orders everything by the plan, making the
-merged result independent of host count, stealing, and arrival order.
+arrives.  If the owning connection drops (host crash, network cut) the run
+it held goes back on the queue; if the host reports an execution error,
+that run is re-queued.  Because run seeds live in the plan, a re-run
+reproduces what the lost host would have computed, so re-queuing never
+perturbs the merged outcome.  Re-queuing is capped per run: a run that
+keeps failing is failing *deterministically* (same seeds everywhere) and
+the coordinator aborts — and an aborted (or timed-out) run answers every
+subsequent agent message with an explicit ``abort`` so connected agents
+exit cleanly instead of crunching for a dead run.  The run finishes when
+every planned run has a result; merging (:mod:`repro.distrib.merge`) then
+orders everything by the plan, making the merged result independent of
+host count and arrival order.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import threading
 import time
@@ -62,9 +54,9 @@ from repro.distrib.merge import (
 from repro.distrib.plan import (
     CaseRun,
     DistributedJob,
-    ShardPlan,
+    RunPlan,
     job_case_names,
-    make_shard_plan,
+    make_run_plan,
     validate_job_cases,
 )
 from repro.distrib.worker import distrib_authkey
@@ -72,73 +64,36 @@ from repro.parallel.portfolio import settings_from_args
 from repro.perf.report import PerfReport
 
 
-def _run_label(key: "tuple[str, int]") -> str:
-    name, replica = key
-    return f"{name}#r{replica}"
-
-
-class _Assignment:
-    """A batch of runs dispatched to one host.
-
-    Starts as a plan shard; a steal may later carve off its tail, so
-    ``remaining`` (runs not yet completed or revoked) is the live view.
-    ``remaining[0]`` is the run the host is executing (hosts run batches in
-    order and report each run as it finishes), which is why steals only
-    ever take from index 1 on.
-    """
-
-    __slots__ = ("id", "host", "runs", "remaining")
-
-    def __init__(self, assignment_id: int, host: str, runs: "list[CaseRun]") -> None:
-        self.id = assignment_id
-        self.host = host
-        self.runs = tuple(runs)
-        self.remaining = list(runs)
+def _run_label(run: CaseRun) -> str:
+    return f"{run.name}#r{run.replica}"
 
 
 class _CoordinatorState:
-    """Case-granular run ledger, shared across per-connection handler threads.
+    """Per-run ledger, shared across per-connection handler threads.
 
-    One lock guards everything: dispatch (including steals), completion,
-    re-queuing, the incumbent board, and the abort flag.  All methods are
-    thread-safe entry points for the handler threads.
+    One lock guards everything: dispatch, completion, re-queuing, the
+    incumbent board, and the abort flag.  All methods are thread-safe entry
+    points for the handler threads.
     """
 
-    def __init__(
-        self,
-        job: DistributedJob,
-        plan: ShardPlan,
-        max_shard_attempts: int = 5,
-    ) -> None:
+    def __init__(self, job: DistributedJob, plan: RunPlan, max_attempts: int) -> None:
         self.job = job
         self.plan = plan
-        self.exchange = bool(getattr(job, "cross_host_exchange", False))
         self.num_runs = plan.num_runs
-        self._runs: "dict[tuple[str, int], CaseRun]" = {
-            (run.name, run.replica): run for shard in plan.shards for run in shard.runs
-        }
-        #: queue of run batches awaiting dispatch (initially the plan shards)
-        self.pending: "deque[tuple[CaseRun, ...]]" = deque(
-            tuple(shard.runs) for shard in plan.shards
-        )
-        self.live: "dict[int, _Assignment]" = {}
-        self._ids = itertools.count()
+        self._runs = {(run.name, run.replica): run for run in plan.runs}
+        #: runs awaiting dispatch, in plan order (re-queued runs at the back)
+        self.pending: "deque[CaseRun]" = deque(plan.runs)
         self.case_results: "dict[tuple[str, int], object]" = {}
         self.case_hosts: "dict[tuple[str, int], str]" = {}
         #: host assignments per run, counted at dispatch; the abort cap
-        #: allows ``max_shard_attempts`` re-queue retries *after* the first
-        #: assignment (so a run may be assigned ``max_shard_attempts + 1``
-        #: times in total before the coordinator gives up)
+        #: allows ``max_attempts`` re-queue retries *after* the first
+        #: assignment (so a run may be assigned ``max_attempts + 1`` times in
+        #: total before the coordinator gives up)
         self.attempts: "dict[tuple[str, int], int]" = {}
-        self.max_shard_attempts = max(1, int(max_shard_attempts))
+        self.max_attempts = max_attempts
         self.hosts: "list[str]" = []
         self.requeues: "list[str]" = []
-        self.steals: "list[str]" = []
         self.adoptions: "list[str]" = []
-        self.duplicates = 0
-        #: per-host revocation sets: runs this host should skip because a
-        #: twin finished first or a thief now owns them
-        self.revoked: "dict[str, set[tuple[str, int]]]" = {}
         #: global incumbent board: case name -> (cost, error, circuit, source)
         self.incumbents: "dict[str, tuple[float, float, object, str]]" = {}
         self.fatal: "str | None" = None
@@ -153,81 +108,25 @@ class _CoordinatorState:
             if host not in self.hosts:
                 self.hosts.append(host)
 
-    def take(self, host: str) -> "_Assignment | None":
-        """Hand ``host`` its next batch: queued work first, then a stolen tail."""
+    def take(self) -> "CaseRun | None":
+        """The next queued run, or None when the queue is empty or the run is over."""
         with self.lock:
-            if self.aborted is not None or self.finished.is_set():
+            if self.aborted is not None or self.finished.is_set() or not self.pending:
                 return None
-            while self.pending:
-                batch = [
-                    run
-                    for run in self.pending.popleft()
-                    if (run.name, run.replica) not in self.case_results
-                ]
-                if batch:
-                    return self._dispatch(host, batch)
-            stolen = self._steal_tail(host)
-            return self._dispatch(host, stolen) if stolen else None
-
-    def _dispatch(self, host: str, runs: "list[CaseRun]") -> _Assignment:
-        assignment = _Assignment(next(self._ids), host, runs)
-        self.live[assignment.id] = assignment
-        for run in runs:
+            run = self.pending.popleft()
             key = (run.name, run.replica)
             self.attempts[key] = self.attempts.get(key, 0) + 1
-        return assignment
-
-    def _steal_tail(self, thief: str) -> "list[CaseRun]":
-        """Split the tail off the largest outstanding assignment (caller locks).
-
-        The victim keeps the head half (``remaining[0]`` is in flight); the
-        stolen runs are revoked from the victim on its next heartbeat.
-        Deterministic victim choice (largest remainder, ties to the oldest
-        assignment) keeps steal logs stable run to run.
-        """
-        candidates = [
-            assignment
-            for assignment in self.live.values()
-            if assignment.host != thief and len(assignment.remaining) >= 2
-        ]
-        if not candidates:
-            return []
-        victim = max(candidates, key=lambda a: (len(a.remaining), -a.id))
-        keep = (len(victim.remaining) + 1) // 2
-        stolen = victim.remaining[keep:]
-        victim.remaining = victim.remaining[:keep]
-        keys = [(run.name, run.replica) for run in stolen]
-        self.revoked.setdefault(victim.host, set()).update(keys)
-        self.steals.append(
-            f"{thief} stole [{', '.join(_run_label(key) for key in keys)}] "
-            f"from {victim.host}"
-        )
-        return stolen
+            return run
 
     # -- completion / failure --------------------------------------------------
 
     def complete(self, host: str, key: "tuple[str, int]", result) -> None:
         with self.lock:
-            # Scrub the run from every live assignment: the reporter's own,
-            # and any re-queued twin (whose host gets a revocation so it can
-            # skip the duplicate instead of re-computing it).
-            for assignment in list(self.live.values()):
-                before = len(assignment.remaining)
-                assignment.remaining = [
-                    run
-                    for run in assignment.remaining
-                    if (run.name, run.replica) != key
-                ]
-                if len(assignment.remaining) != before and assignment.host != host:
-                    self.revoked.setdefault(assignment.host, set()).add(key)
-                if not assignment.remaining:
-                    del self.live[assignment.id]
             if key in self.case_results:
-                self.duplicates += 1  # first arrival wins; twins are identical
-                return
+                return  # first arrival wins
             self.case_results[key] = result
             self.case_hosts[key] = host
-            if self.exchange:
+            if self.job.cross_host_exchange:
                 # A finished replica's final incumbent can still pull a
                 # straggler replica of the same case forward.
                 self._publish(
@@ -240,86 +139,35 @@ class _CoordinatorState:
             if len(self.case_results) == self.num_runs:
                 self.finished.set()
 
-    def fail_case(self, host: str, key: "tuple[str, int]", reason: str) -> None:
-        """One run raised on ``host``: re-queue it (capped) — satellite of the
-        case-granular protocol; the host keeps executing the rest of its batch.
-        """
+    def requeue(self, host: str, key: "tuple[str, int]", reason: str) -> None:
+        """Put a run ``host`` failed or dropped back on the queue (capped)."""
         with self.lock:
-            for assignment in list(self.live.values()):
-                if assignment.host != host:
-                    continue
-                assignment.remaining = [
-                    run
-                    for run in assignment.remaining
-                    if (run.name, run.replica) != key
-                ]
-                if not assignment.remaining:
-                    del self.live[assignment.id]
-            if key in self.case_results or self.aborted is not None:
+            run = self._runs[key]
+            if key in self.case_results or self.aborted is not None or self.finished.is_set():
                 return
-            self.requeues.append(f"case {_run_label(key)} re-queued from {host}: {reason}")
-            if self._over_cap(key, reason):
-                return
-            self.pending.append((self._runs[key],))
+            self.requeues.append(f"case {_run_label(run)} re-queued from {host}: {reason}")
+            if not self._over_cap(run, reason):
+                self.pending.append(run)
 
-    def lost(self, host: str, held: "set[int]") -> None:
-        """A connection died: re-queue only the *unfinished* runs it held.
-
-        Completed runs already live in ``case_results`` — the point of
-        case-granular reporting is that a host loss never discards work that
-        was reported before the loss.
-        """
-        with self.lock:
-            self.revoked.pop(host, None)
-            if self.aborted is not None or self.finished.is_set():
-                return
-            for assignment_id in held:
-                assignment = self.live.pop(assignment_id, None)
-                if assignment is None:
-                    continue  # fully completed (or fully stolen) before the loss
-                remaining = [
-                    run
-                    for run in assignment.remaining
-                    if (run.name, run.replica) not in self.case_results
-                ]
-                if not remaining:
-                    continue
-                labels = ", ".join(
-                    _run_label((run.name, run.replica)) for run in remaining
-                )
-                self.requeues.append(
-                    f"cases [{labels}] re-queued from {host}: connection lost"
-                )
-                for run in remaining:
-                    if self._over_cap((run.name, run.replica), "connection lost"):
-                        return
-                self.pending.append(tuple(remaining))
-
-    def _over_cap(self, key: "tuple[str, int]", reason: str) -> bool:
+    def _over_cap(self, run: CaseRun, reason: str) -> bool:
         """Abort when a run has exhausted its re-queue retries (caller locks).
 
         ``attempts`` counts *host assignments* (incremented at dispatch), so
-        the cap trips only after ``max_shard_attempts`` full re-queue retries
+        the cap trips only after ``max_attempts`` full re-queue retries
         beyond the first assignment — not one retry early.
         """
-        attempts = self.attempts.get(key, 1)
-        if attempts <= self.max_shard_attempts:
+        attempts = self.attempts.get((run.name, run.replica), 1)
+        if attempts <= self.max_attempts:
             return False
-        outstanding = sorted(set(self._runs) - set(self.case_results))
-        shard_indices = sorted(
-            {
-                shard.index
-                for shard in self.plan.shards
-                for run in shard.runs
-                if (run.name, run.replica) not in self.case_results
-            }
-        )
+        outstanding = [
+            _run_label(other)
+            for other in self.plan.runs
+            if (other.name, other.replica) not in self.case_results
+        ]
         self.fatal = (
-            f"case {_run_label(key)} failed on {attempts} host assignments "
-            f"(1 initial + {self.max_shard_attempts} re-queue retries); "
-            f"giving up (last: {reason}); still outstanding: "
-            f"[{', '.join(_run_label(k) for k in outstanding)}] "
-            f"in plan shards {shard_indices}"
+            f"case {_run_label(run)} failed on {attempts} host assignments "
+            f"(1 initial + {self.max_attempts} re-queue retries); "
+            f"giving up (last: {reason}); still outstanding: [{', '.join(outstanding)}]"
         )
         self.aborted = self.fatal
         self.finished.set()
@@ -342,111 +190,89 @@ class _CoordinatorState:
         if best is None or cost < best[0]:
             self.incumbents[name] = (float(cost), float(error), circuit, source)
 
-    def record_exchange(self, host: str, publishes, adopted) -> None:
-        """Fold one agent heartbeat into the board (publishes + adoption log)."""
-        with self.lock:
-            if self.exchange:
-                for name, replica, cost, error, circuit in publishes:
-                    self._publish(name, cost, error, circuit, f"{host}/r{replica}")
-            for note in adopted:
-                self.adoptions.append(note)
+    def exchange(self, host: str, publish, adopted) -> dict:
+        """Fold one agent heartbeat into the board; return the reply update.
 
-    def update_for(self, host: str, queries=()) -> dict:
-        """The coordinator's half of a heartbeat reply.
-
-        ``revoked`` — runs this host should skip (finished elsewhere or
-        stolen); delivered exactly once.  ``incumbents`` — for each queried
-        ``(case name, cost)``, the board's incumbent when *strictly* better
-        than the query (so an agent is never handed state it cannot improve
-        on, and exchange-off runs never see a circuit payload at all).
+        The update holds the board's ``incumbent`` for the published case
+        when it is *strictly* better than the publisher's own, so an agent
+        is never handed state it cannot improve on.
         """
+        name, replica, cost, error, circuit = publish
         with self.lock:
-            update: dict = {"revoked": sorted(self.revoked.pop(host, ()))}
-            incumbents = {}
-            if self.exchange:
-                for name, cost in queries:
-                    best = self.incumbents.get(name)
-                    if best is not None and best[0] < cost:
-                        incumbents[name] = (best[0], best[1], best[2])
-            update["incumbents"] = incumbents
-            return update
+            self.adoptions.extend(adopted)
+            self._publish(name, cost, error, circuit, f"{host}/r{replica}")
+            best = self.incumbents.get(name)
+            if best is None or best[0] >= cost:
+                return {}
+            return {"incumbent": best[:3]}
 
     def snapshot(self) -> str:
         with self.lock:
-            outstanding = sum(len(a.remaining) for a in self.live.values())
+            done = len(self.case_results)
             return (
-                f"{len(self.case_results)}/{self.num_runs} runs done, "
-                f"{len(self.pending)} batch(es) pending, "
-                f"{outstanding} outstanding"
+                f"{done}/{self.num_runs} runs done, {len(self.pending)} pending, "
+                f"{self.num_runs - done - len(self.pending)} outstanding"
             )
 
 
 class _AgentSession:
-    """One agent connection's protocol state: who it is and what it holds.
+    """One agent connection's protocol state: who it is and the run it holds.
 
-    ``close`` runs when the connection ends: a vanished host forfeits only
-    the *unfinished* runs it was holding.
+    ``close`` runs when the connection ends: a vanished host forfeits the
+    run it was executing, which goes back on the queue.
     """
 
-    def __init__(self, state: _CoordinatorState, job: DistributedJob) -> None:
+    def __init__(self, state: _CoordinatorState) -> None:
         self.state = state
-        self.job = job
         self.host = "?"
-        self.held: "set[int]" = set()
+        self.held: "CaseRun | None" = None
 
     def handle(self, op, payload):
         state = self.state
         if op == "hello":
             self.host = str(payload)
             state.register(self.host)
-            return (
-                "welcome",
-                {
-                    "runs": state.num_runs,
-                    "shards": len(state.plan.shards),
-                    "exchange": state.exchange,
-                },
-            )
+            return ("welcome", {"runs": state.num_runs, "exchange": state.job.cross_host_exchange})
         if op == "ping":
             return ("pong", None)
         if state.aborted is not None:
             # A dead run (timeout / attempt-cap abort) tells its agents so;
             # they exit cleanly with the reason instead of crunching a
-            # doomed batch and crashing on report.
+            # doomed run and crashing on report.
             return ("abort", state.aborted)
         if op == "next":
-            assignment = state.take(self.host)
-            if assignment is not None:
-                self.held.add(assignment.id)
-                return ("assign", (assignment.id, assignment.runs, self.job))
+            # A host holds at most one run: asking again re-sends it.
+            if self.held is None:
+                self.held = state.take()
+            if self.held is not None:
+                return ("assign", (self.held, state.job))
             if state.finished.is_set():
                 return ("done", None)
-            # Work may still flow back: outstanding runs on a dying host
-            # would land here after a re-queue.
+            # Work may still flow back: a run on a dying host lands here
+            # after its re-queue.
             return ("wait", 0.2)
-        if op == "case-result":
-            _assignment_id, key, result = payload
-            state.complete(self.host, tuple(key), result)
-        elif op == "case-error":
-            _assignment_id, key, message = payload
-            state.fail_case(self.host, tuple(key), f"host error: {message}")
-        elif op == "progress":
-            _assignment_id, publishes, adopted = payload
-            state.record_exchange(self.host, publishes, adopted)
-            queries = [(name, cost) for name, _replica, cost, _err, _c in publishes]
-            return ("ok", state.update_for(self.host, queries))
-        else:
+        if op == "progress":
+            publish, adopted = payload
+            return ("ok", state.exchange(self.host, publish, adopted))
+        if op not in ("case-result", "case-error"):
             return ("unknown-op", op)
+        key, detail = payload
+        self.held = None
+        if op == "case-result":
+            state.complete(self.host, tuple(key), detail)
+        else:
+            state.requeue(self.host, tuple(key), f"host error: {detail}")
         if state.aborted is not None:
             return ("abort", state.aborted)
-        return ("ok", state.update_for(self.host))
+        return ("ok", {})
 
     def close(self) -> None:
-        self.state.lost(self.host, self.held)
+        if self.held is not None:
+            self.state.requeue(self.host, (self.held.name, self.held.replica), "connection lost")
 
 
 class Coordinator:
-    """Own one distributed run: bind, dispatch, steal, re-queue, merge.
+    """Own one distributed run: bind, dispatch, re-queue, merge.
 
     ``serve()`` blocks until every planned run has reported and returns the
     merged :class:`~repro.distrib.merge.DistributedSuiteResult`; ``start()``
@@ -454,22 +280,23 @@ class Coordinator:
     listening) with ``join()`` to collect the result — the in-process form
     tests and drivers embed.
 
-    An idle host steals the tail of a busy host's batch.
-    ``max_shard_attempts`` caps *re-queue retries per run*: a run may be
-    assigned to hosts at most ``max_shard_attempts + 1`` times before the
-    coordinator aborts.
+    ``max_attempts`` caps *re-queue retries per run*: a run may be assigned
+    to hosts at most ``max_attempts + 1`` times before the coordinator
+    aborts.
     """
 
     def __init__(
         self,
         job: DistributedJob,
-        plan: ShardPlan,
+        plan: RunPlan,
         host: str = "127.0.0.1",
         port: int = 0,
         authkey: "bytes | None" = None,
         timeout: "float | None" = None,
-        max_shard_attempts: int = 5,
+        max_attempts: int = 5,
     ) -> None:
+        if max_attempts < 1:
+            raise ValueError(f"max_attempts must be at least 1, got {max_attempts!r}")
         # Fail before binding: a case name no host can resolve would fail
         # deterministically on every assignment (see the re-queue cap).
         validate_job_cases(job, plan.case_names)
@@ -479,7 +306,7 @@ class Coordinator:
         self.port = port
         self.authkey = bytes(authkey) if authkey is not None else distrib_authkey()
         self.timeout = timeout
-        self.max_shard_attempts = max_shard_attempts
+        self.max_attempts = max_attempts
         self._address: "tuple[str, int] | None" = None
         self._bound = threading.Event()
         self._thread: "threading.Thread | None" = None
@@ -511,12 +338,12 @@ class Coordinator:
             rpc.drain_connection_pool()
 
     def _serve(self) -> DistributedSuiteResult:
-        state = _CoordinatorState(self.job, self.plan, max_shard_attempts=self.max_shard_attempts)
+        state = _CoordinatorState(self.job, self.plan, self.max_attempts)
         started = time.monotonic()
         server = rpc.Server(
             (self.host, self.port),
             self.authkey,
-            session=lambda: _AgentSession(state, self.job),
+            session=lambda: _AgentSession(state),
         )
         self._address = server.address
         self._bound.set()
@@ -542,19 +369,15 @@ class Coordinator:
         elapsed = time.monotonic() - started
         cases = merge_case_results(self.plan, state.case_results)
         perf_reports = [
-            result.perf
-            for result in state.case_results.values()
-            if getattr(result, "perf", None) is not None
+            result.perf for result in state.case_results.values() if result.perf is not None
         ]
         return DistributedSuiteResult(
             plan=self.plan,
             cases=cases,
             perf=PerfReport.merged(perf_reports, elapsed=elapsed) if perf_reports else None,
             hosts=list(state.hosts),
-            shard_hosts=_majority_shard_hosts(self.plan, state.case_hosts),
             case_hosts=dict(state.case_hosts),
             requeues=list(state.requeues),
-            steals=list(state.steals),
             adoptions=list(state.adoptions),
             elapsed=elapsed,
         )
@@ -590,35 +413,13 @@ class Coordinator:
         return self._result
 
 
-def _majority_shard_hosts(
-    plan: ShardPlan, case_hosts: "dict[tuple[str, int], str]"
-) -> "dict[int, str]":
-    """Attribute each plan shard to the host that completed most of its runs.
-
-    With stealing a shard's runs may have executed on several hosts;
-    ``case_hosts`` is the exact record, this is the telemetry summary
-    (deterministic: counts, then lexicographically lowest host on ties).
-    """
-    owners: "dict[int, str]" = {}
-    for shard in plan.shards:
-        counts: "dict[str, int]" = {}
-        for run in shard.runs:
-            host = case_hosts.get((run.name, run.replica))
-            if host is not None:
-                counts[host] = counts.get(host, 0) + 1
-        if counts:
-            owners[shard.index] = max(sorted(counts), key=lambda host: counts[host])
-    return owners
-
-
 def _emit_bench(result: DistributedSuiteResult, path: str) -> None:
     """Write a pytest-benchmark-shaped json for ``check_regression.py``.
 
     One entry per case (mean = merged replica wall-clock) plus a
     ``distrib_suite_total`` aggregate whose ``extra_info`` carries the
-    cross-host cache counters and fleet-elasticity counters the CI gates
-    read (``--require-remote-hits``, ``--require-steals``,
-    ``--require-zero-lost``).
+    cross-host cache counters the CI gates read (``--require-remote-hits``,
+    ``--require-zero-dropped``).
     """
     perf = result.perf
     benchmarks = [
@@ -645,15 +446,7 @@ def _emit_bench(result: DistributedSuiteResult, path: str) -> None:
                 "cache_unreachable_servers": perf.cache_unreachable_servers if perf else 0,
                 "hosts": len(result.hosts),
                 "requeues": len(result.requeues),
-                # Elasticity counters: steals > 0 proves the tail of a slow
-                # host was re-balanced; cases_lost must be 0 — the merge
-                # refuses to produce a result with missing runs, so this is
-                # the "no silently dropped work" gate (--require-steals,
-                # --require-zero-lost).
-                "steals": len(result.steals),
                 "adoptions": len(result.adoptions),
-                "cases_total": result.plan.num_runs,
-                "cases_lost": result.plan.num_runs - len(result.case_hosts),
             },
         }
     )
@@ -665,7 +458,7 @@ def _emit_bench(result: DistributedSuiteResult, path: str) -> None:
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.distrib.coordinator",
-        description="Shard a benchmark suite across registered host agents and merge results.",
+        description="Hand a benchmark suite's runs to registered host agents and merge results.",
     )
     parser.add_argument("--host", default="127.0.0.1", help="address to bind (0.0.0.0 for LAN)")
     parser.add_argument("--port", type=int, default=0, help="port to bind (0 = OS-assigned)")
@@ -680,7 +473,6 @@ def main(argv: "list[str] | None" = None) -> int:
         help="comma-separated case subset (builtin: generator names; required there)",
     )
     parser.add_argument("--replicas", type=int, default=1, help="independent runs per case")
-    parser.add_argument("--shards", type=int, default=2, help="work units to split the plan into")
     parser.add_argument("--seed", type=int, default=None, help="root seed (None = entropy)")
     parser.add_argument("--no-lower", action="store_true", help="skip lowering to the gate set")
     # Search flags default to DistributedJob's own defaults (absent unless given).
@@ -706,8 +498,8 @@ def main(argv: "list[str] | None" = None) -> int:
         default=None,
         metavar="SPEC",
         help="shared resynthesis cache backend spec every host attaches to "
-        "(tcp://HOST:PORT for cross-host sharing; see docs/serving.md "
-        "for the full grammar)",
+        "(tcp://HOST:PORT for cross-host sharing; see "
+        "docs/caching.md#the-backend-spec-grammar)",
     )
     parser.add_argument("--timeout", type=float, default=None, help="abort after this many seconds")
     parser.add_argument("--output", default=None, help="write the merged summary json here")
@@ -742,9 +534,7 @@ def main(argv: "list[str] | None" = None) -> int:
         parser.error("--suite builtin requires --cases (generator names)")
     else:
         case_names = job_case_names(job)
-    plan = make_shard_plan(
-        case_names, num_shards=args.shards, root_seed=args.seed, replicas=args.replicas
-    )
+    plan = make_run_plan(case_names, root_seed=args.seed, replicas=args.replicas)
     coordinator = Coordinator(
         job,
         plan,
@@ -761,8 +551,6 @@ def main(argv: "list[str] | None" = None) -> int:
     print(f"[coordinator] hosts: {', '.join(result.hosts) or 'none'}")
     for event in result.requeues:
         print(f"[coordinator] {event}")
-    for event in result.steals:
-        print(f"[coordinator] steal: {event}")
     for event in result.adoptions:
         print(f"[coordinator] adoption: {event}")
     for case in result.cases:

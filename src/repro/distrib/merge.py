@@ -15,7 +15,7 @@ hosts happen to finish.  Merging normalizes that nondeterminism away:
   bound is exactly as sound as the single-machine one.
 
 Because per-run seeds come from the plan (not from hosts), the merged
-outcome is a pure function of ``root seed + shard plan`` whenever each
+outcome is a pure function of ``root seed + run plan`` whenever each
 run is iteration-bounded and no cross-host cache couples trajectories;
 :func:`result_fingerprint` digests exactly the deterministic fields so
 tests and operators can assert that bit-for-bit.
@@ -27,7 +27,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.circuits.circuit import Circuit
-from repro.distrib.plan import ShardPlan
+from repro.distrib.plan import RunPlan
 from repro.parallel.portfolio import PortfolioResult
 from repro.perf.report import PerfReport
 
@@ -46,23 +46,17 @@ class CaseOutcome:
 class DistributedSuiteResult:
     """The coordinator's merged view of one distributed run."""
 
-    plan: ShardPlan
+    plan: RunPlan
     cases: "list[CaseOutcome]"
-    #: instrumentation merged across every shard (cache stats deduplicated
+    #: instrumentation merged across every run (cache stats deduplicated
     #: by token, so one shared store is counted once)
     perf: "PerfReport | None" = None
     #: hosts that registered, in registration order (telemetry, not merged state)
     hosts: "list[str]" = field(default_factory=list)
-    #: which host completed the majority of each plan shard (telemetry; with
-    #: work stealing a shard's runs may have been split across hosts — see
-    #: ``case_hosts`` for the exact per-run attribution)
-    shard_hosts: "dict[int, str]" = field(default_factory=dict)
     #: which host completed each ``(case, replica)`` run (telemetry)
     case_hosts: "dict[tuple[str, int], str]" = field(default_factory=dict)
     #: human-readable re-queue events (host losses, reported errors)
     requeues: "list[str]" = field(default_factory=list)
-    #: human-readable steal events (idle host took the tail of a busy one)
-    steals: "list[str]" = field(default_factory=list)
     #: human-readable cross-host incumbent adoption events (exchange on)
     adoptions: "list[str]" = field(default_factory=list)
     elapsed: float = 0.0
@@ -83,7 +77,7 @@ class DistributedSuiteResult:
     def fingerprint(self) -> str:
         """Digest of every merged case outcome, in plan order.
 
-        Two runs of the same ``root seed + shard plan`` produce equal
+        Two runs of the same ``root seed + run plan`` produce equal
         fingerprints regardless of host count or completion order (absent a
         shared cache coupling trajectories); see :func:`result_fingerprint`
         for what is — deliberately — excluded.
@@ -100,13 +94,11 @@ class DistributedSuiteResult:
             "fingerprint": self.fingerprint(),
             "plan": self.plan.describe(),
             "hosts": list(self.hosts),
-            "shard_hosts": {str(index): host for index, host in sorted(self.shard_hosts.items())},
             "case_hosts": {
                 f"{name}#r{replica}": host
                 for (name, replica), host in sorted(self.case_hosts.items())
             },
             "requeues": list(self.requeues),
-            "steals": list(self.steals),
             "adoptions": list(self.adoptions),
             "elapsed": self.elapsed,
             "total_iterations": self.total_iterations,
@@ -220,21 +212,16 @@ def merge_portfolio_results(results: "list[PortfolioResult]") -> PortfolioResult
 
 
 def merge_case_results(
-    plan: ShardPlan, by_run: "dict[tuple[str, int], PortfolioResult]"
+    plan: RunPlan, by_run: "dict[tuple[str, int], PortfolioResult]"
 ) -> "list[CaseOutcome]":
     """Assemble per-case outcomes from per-run results, in plan order.
 
     ``by_run`` maps ``(case name, replica)`` to that run's result — the
-    coordinator's case-granular ledger, which is shard-agnostic by
-    construction: a run reports the same result no matter which host
-    executed it or whether its shard's tail was stolen mid-run.  Raises if
-    any planned run is missing.
+    coordinator's per-run ledger: a run reports the same result no matter
+    which host executed it.  Raises if any planned run is missing.
     """
     missing = [
-        (run.name, run.replica)
-        for shard in plan.shards
-        for run in shard.runs
-        if (run.name, run.replica) not in by_run
+        (run.name, run.replica) for run in plan.runs if (run.name, run.replica) not in by_run
     ]
     if missing:
         labels = ", ".join(f"{name}#r{replica}" for name, replica in missing)

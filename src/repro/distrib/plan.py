@@ -1,22 +1,21 @@
-"""Deterministic shard plans and job specifications for distributed runs.
+"""Deterministic run plans and job specifications for distributed runs.
 
 A distributed evaluation is described by two small, picklable records:
 
 * a :class:`DistributedJob` — *how* to optimize: which suite the circuits
   come from, the gate set and objective, and every portfolio knob a host
   needs to run a case exactly the way any other host would;
-* a :class:`ShardPlan` — *what* to run where: the ordered list of
-  :class:`CaseRun` units (a benchmark case plus a replica index and a
-  derived seed) partitioned into :class:`Shard`\\ s.
+* a :class:`RunPlan` — *what* to run: the ordered tuple of :class:`CaseRun`
+  units (a benchmark case plus a replica index and a derived seed).
 
-The plan is a pure function of ``(case_names, replicas, num_shards,
-root_seed)``: per-run seeds are derived from the root seed through
-``SeedSequence`` spawn paths keyed by ``(replica, case index)`` — never by
-shard or host — so the *outcome* of a run depends only on the plan, not on
-how many hosts execute it or in which order shards complete.  That is the
-invariant the coordinator's merge relies on (see
-:mod:`repro.distrib.merge`), and it is also what makes shard re-queuing
-after a host loss safe: the re-executed shard reproduces the lost one.
+The plan is a pure function of ``(case_names, replicas, root_seed)``:
+per-run seeds are derived from the root seed through ``SeedSequence`` spawn
+paths keyed by ``(replica, case index)`` — never by host — so the *outcome*
+of a run depends only on the plan, not on how many hosts execute it or in
+which order runs complete.  That is the invariant the coordinator's merge
+relies on (see :mod:`repro.distrib.merge`), and it is also what makes
+re-queuing a run after a host loss safe: the re-executed run reproduces the
+lost one.
 
 ``replicas > 1`` schedules every case several times under independent
 derived seeds.  Replicas of one case are merged by re-ranking under the
@@ -43,7 +42,7 @@ class CaseRun:
 
     ``replica`` distinguishes repeated runs of the same case; the seed is
     derived from the plan's root seed and ``(replica, case index)``, so it
-    is independent of shard layout and host count.
+    is independent of which host runs it.
     """
 
     name: str
@@ -52,64 +51,49 @@ class CaseRun:
 
 
 @dataclass(frozen=True)
-class Shard:
-    """A contiguous slice of the plan's runs, dispatched to one host at a time."""
-
-    index: int
-    runs: "tuple[CaseRun, ...]"
-
-    def __len__(self) -> int:
-        return len(self.runs)
-
-
-@dataclass(frozen=True)
-class ShardPlan:
+class RunPlan:
     """The full work breakdown of one distributed run."""
 
     root_seed: "int | None"
     replicas: int
     case_names: "tuple[str, ...]"
-    shards: "tuple[Shard, ...]"
+    #: every run, replica-major: the order the coordinator hands them out
+    runs: "tuple[CaseRun, ...]"
 
     @property
     def num_runs(self) -> int:
-        return sum(len(shard) for shard in self.shards)
+        return len(self.runs)
 
     def describe(self) -> str:
-        sizes = "/".join(str(len(shard)) for shard in self.shards)
         return (
-            f"{self.num_runs} runs ({len(self.case_names)} cases x {self.replicas} replicas) "
-            f"over {len(self.shards)} shards (sizes {sizes}), root seed {self.root_seed}"
+            f"{self.num_runs} runs ({len(self.case_names)} cases x {self.replicas} replicas), "
+            f"root seed {self.root_seed}"
         )
 
 
-def make_shard_plan(
+def make_run_plan(
     case_names: "list[str] | tuple[str, ...]",
-    num_shards: int,
     root_seed: "int | None" = None,
     replicas: int = 1,
-) -> ShardPlan:
-    """Partition ``replicas`` copies of ``case_names`` into ``num_shards`` shards.
+) -> RunPlan:
+    """Plan ``replicas`` runs of every case in ``case_names``.
 
-    Runs are ordered replica-major (all of replica 0, then replica 1, ...)
-    and split contiguously into shards whose sizes differ by at most one.
-    With ``num_shards == replicas`` that places each replica set on its own
-    shard — the layout that maximizes cross-host overlap of identical
-    circuits, i.e. the best case for a shared ``tcp://`` resynthesis cache.
+    Runs are ordered replica-major (all of replica 0, then replica 1, ...),
+    so hosts pulling one run at a time start every case's anchor replica
+    first, and concurrent hosts work on different replicas of the same
+    circuits — the best case for a shared ``tcp://`` resynthesis cache.
 
     A ``None`` root seed yields ``None`` per-run seeds (each host draws OS
     entropy); determinism and safe re-queuing require a real seed.
     """
     names = tuple(str(name) for name in case_names)
     if not names:
-        raise ValueError("a shard plan needs at least one case")
+        raise ValueError("a run plan needs at least one case")
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate case names in plan: {sorted(names)}")
-    if num_shards < 1:
-        raise ValueError("num_shards must be at least 1")
     if replicas < 1:
         raise ValueError("replicas must be at least 1")
-    runs = [
+    runs = tuple(
         CaseRun(
             name=name,
             replica=replica,
@@ -117,27 +101,17 @@ def make_shard_plan(
         )
         for replica in range(replicas)
         for case_index, name in enumerate(names)
-    ]
-    num_shards = min(num_shards, len(runs))
-    base, extra = divmod(len(runs), num_shards)
-    shards = []
-    cursor = 0
-    for index in range(num_shards):
-        size = base + (1 if index < extra else 0)
-        shards.append(Shard(index=index, runs=tuple(runs[cursor : cursor + size])))
-        cursor += size
-    return ShardPlan(
-        root_seed=root_seed, replicas=replicas, case_names=names, shards=tuple(shards)
     )
+    return RunPlan(root_seed=root_seed, replicas=replicas, case_names=names, runs=runs)
 
 
 @dataclass(frozen=True, kw_only=True)
 class DistributedJob(PortfolioSettings):
-    """Everything a host agent needs to execute a shard like any other host.
+    """Everything a host agent needs to execute a run like any other host.
 
     A :class:`~repro.parallel.PortfolioSettings` plus where the cases come
     from and what the hosts share.  The job travels with each dispatched
-    shard, so agents are stateless: point one at a coordinator and it can
+    run, so agents are stateless: point one at a coordinator and it can
     serve any run.  Circuits are *rebuilt on the host* from the suite
     generators (cheap, deterministic) rather than shipped over the wire, and
     every host builds each run's optimizer with
@@ -233,9 +207,8 @@ __all__ = [
     "CaseRun",
     "DistributedJob",
     "JOB_SUITES",
-    "Shard",
-    "ShardPlan",
+    "RunPlan",
     "job_case_names",
-    "make_shard_plan",
+    "make_run_plan",
     "validate_job_cases",
 ]

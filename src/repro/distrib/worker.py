@@ -1,22 +1,20 @@
 """Host agent: executes case runs for a coordinator on this machine.
 
 ``python -m repro.distrib.worker --connect HOST:PORT`` connects to a
-coordinator (:mod:`repro.distrib.coordinator`), pulls *assignments* (case
-batches — initially plan shards, possibly a stolen tail of one), runs every
-:class:`~repro.distrib.plan.CaseRun` through a local
-:class:`~repro.parallel.PortfolioOptimizer` (rebuilding circuits from the
+coordinator (:mod:`repro.distrib.coordinator`), pulls one
+:class:`~repro.distrib.plan.CaseRun` at a time, runs it through a local
+:class:`~repro.parallel.PortfolioOptimizer` (rebuilding the circuit from the
 suite generators — work units travel as names and seeds, not pickled
-circuits), and reports each run back as a ``case-result`` the moment it
-finishes.  Runs are driven through the resumable
+circuits), and reports it back as a ``case-result`` the moment it finishes.
+Runs are driven through the resumable
 :meth:`~repro.parallel.portfolio.PortfolioRun.step_round` engine, so
-between exchange rounds the agent can heartbeat the coordinator: publish
-its best incumbent (when ``job.cross_host_exchange``), learn which of its
-queued runs were revoked (finished elsewhere or stolen), and adopt a
-strictly better global incumbent — never on replica 0, which anchors the
-case exactly like worker 0 anchors a portfolio.
+between exchange rounds the agent can heartbeat the coordinator (when
+``job.cross_host_exchange``): publish its best incumbent and adopt a
+strictly better global one — never on replica 0, which anchors the case
+exactly like worker 0 anchors a portfolio.
 
-Agents are stateless pull-workers: the job spec travels with each
-assignment, a lost agent forfeits only its unfinished runs, and between
+Agents are stateless pull-workers: the job spec travels with each run, a
+lost agent forfeits only the run it was executing, and between
 runs the agent drains its pooled cache connections
 (:func:`repro.rpc.drain_connection_pool`) so a long-lived
 agent never leaks sockets across the many portfolio runs it hosts.
@@ -35,7 +33,7 @@ import traceback
 
 from repro import rpc
 from repro.distrib.merge import DistributedSuiteResult, merge_case_results
-from repro.distrib.plan import CaseRun, DistributedJob, ShardPlan
+from repro.distrib.plan import CaseRun, DistributedJob, RunPlan
 from repro.parallel.portfolio import build_portfolio
 from repro.perf.report import PerfReport
 
@@ -102,7 +100,7 @@ def run_case(job: DistributedJob, run: CaseRun, circuit) -> "object":
     return build_portfolio(job, seed=run.seed, cache=job.share_resynthesis_cache).optimize(circuit)
 
 
-def run_local(job: DistributedJob, plan: ShardPlan, host: str = "local") -> DistributedSuiteResult:
+def run_local(job: DistributedJob, plan: RunPlan, host: str = "local") -> DistributedSuiteResult:
     """Execute a whole plan on this machine — the single-host baseline.
 
     Runs every planned run through :func:`run_case` and merges the per-run
@@ -114,11 +112,7 @@ def run_local(job: DistributedJob, plan: ShardPlan, host: str = "local") -> Dist
     """
     started = time.monotonic()
     circuits = build_cases(job, list(plan.case_names))
-    by_run = {
-        (run.name, run.replica): run_case(job, run, circuits[run.name])
-        for shard in plan.shards
-        for run in shard.runs
-    }
+    by_run = {(run.name, run.replica): run_case(job, run, circuits[run.name]) for run in plan.runs}
     perf_reports = [result.perf for result in by_run.values() if result.perf is not None]
     elapsed = time.monotonic() - started
     return DistributedSuiteResult(
@@ -126,7 +120,6 @@ def run_local(job: DistributedJob, plan: ShardPlan, host: str = "local") -> Dist
         cases=merge_case_results(plan, by_run),
         perf=PerfReport.merged(perf_reports, elapsed=elapsed) if perf_reports else None,
         hosts=[host],
-        shard_hosts={shard.index: host for shard in plan.shards},
         case_hosts=dict.fromkeys(by_run, host),
         elapsed=elapsed,
     )
@@ -136,23 +129,19 @@ class HostAgent:
     """One machine's worker loop against a coordinator.
 
     Pull protocol over a :class:`repro.rpc.Channel`: ``hello`` registers,
-    ``next`` requests work, the coordinator answers ``assign`` / ``wait`` /
-    ``done`` / ``abort``.  Each assignment is a batch of
-    :class:`~repro.distrib.plan.CaseRun`\\ s the agent executes in order,
-    posting a ``case-result`` per finished run and a ``progress`` heartbeat
-    between exchange rounds while a run is live.
-    Every reply to a post carries an *update*: runs revoked from this host
-    (finished elsewhere, or stolen while this host was busy) and — with
-    ``job.cross_host_exchange`` — any strictly better global incumbent for
-    the posting run's case.  A run that raises locally is reported as
-    ``case-error`` so the coordinator can re-queue just that run elsewhere;
-    the agent carries on with the rest of its batch.  An ``abort`` reply at
-    any point (coordinator timeout or attempt-cap abort) makes the agent
-    exit cleanly with the reason recorded in ``abort_reason``.
+    ``next`` requests work, the coordinator answers ``assign`` (exactly one
+    :class:`~repro.distrib.plan.CaseRun` and the job) / ``wait`` / ``done`` /
+    ``abort``.  The agent executes the run, posting a ``progress`` heartbeat
+    between exchange rounds when ``job.cross_host_exchange`` is on (the
+    reply carries any strictly better global incumbent for the case), and
+    reports the run as ``case-result`` — or, if it raised locally, as
+    ``case-error`` so the coordinator can re-queue it elsewhere — before
+    asking for the next.  An ``abort`` reply at any point (coordinator
+    timeout or attempt-cap abort) makes the agent exit cleanly with the
+    reason recorded in ``abort_reason``.
 
-    ``shard_delay`` inserts a sleep before executing each assignment, and
-    ``case_delay`` before each case — testing hooks that make "kill the
-    agent mid-case" and "straggler host gets its tail stolen" scenarios
+    ``case_delay`` inserts a sleep before each run — a testing hook that
+    makes "kill the agent mid-case" and "straggler host" scenarios
     deterministic.
     """
 
@@ -163,7 +152,6 @@ class HostAgent:
         name: "str | None" = None,
         connect_timeout: float = 30.0,
         poll_interval: float = 0.2,
-        shard_delay: float = 0.0,
         case_delay: float = 0.0,
     ) -> None:
         self.address = (str(address[0]), int(address[1]))
@@ -176,7 +164,6 @@ class HostAgent:
         self.name = name
         self.connect_timeout = connect_timeout
         self.poll_interval = poll_interval
-        self.shard_delay = shard_delay
         self.case_delay = case_delay
         #: why the coordinator told this agent to stop (None = normal exit)
         self.abort_reason: "str | None" = None
@@ -198,9 +185,9 @@ class HostAgent:
     def _post(self, channel: rpc.Channel, message) -> dict:
         """Send one report/heartbeat; return the coordinator's update.
 
-        Raises :class:`_RunAborted` on an ``abort`` reply so the whole
-        assignment unwinds promptly, and lets connection errors propagate —
-        the run loop treats a vanished coordinator as a finished run.
+        Raises :class:`_RunAborted` on an ``abort`` reply so the run unwinds
+        promptly, and lets connection errors propagate — the run loop
+        treats a vanished coordinator as a finished run.
         """
         op, payload = channel.call(*message)
         if op == "abort":
@@ -209,102 +196,70 @@ class HostAgent:
             raise RuntimeError(f"unexpected coordinator reply {op!r}")
         return payload or {}
 
-    def _execute_assignment(self, channel, assignment_id: int, runs, job) -> int:
-        """Run one assignment's cases in order; return how many completed here.
-
-        ``revoked`` accumulates runs the coordinator has reassigned (stolen
-        by an idle host) or seen finish elsewhere — they are skipped, which
-        is what makes stealing and duplicate re-queues race-free: whoever
-        reports first wins, everyone else drops the run on their next
-        heartbeat.
-        """
-        if self.shard_delay:
-            time.sleep(self.shard_delay)
-        names: "list[str]" = []
-        for run in runs:
-            if run.name not in names:
-                names.append(run.name)
-        circuits = build_cases(job, names)
-        exchange = bool(getattr(job, "cross_host_exchange", False))
-        revoked: "set[tuple[str, int]]" = set()
+    def _execute(self, channel, run: CaseRun, job: DistributedJob) -> bool:
+        """Run and report one case; return whether it completed here."""
+        if self.case_delay:
+            time.sleep(self.case_delay)
+        circuit = build_cases(job, [run.name])[run.name]
+        key = (run.name, run.replica)
         adopted_notes: "list[str]" = []
-        completed = 0
-        for run in runs:
-            key = (run.name, run.replica)
-            if key in revoked:
-                continue
-            if self.case_delay:
-                time.sleep(self.case_delay)
+        try:
+            portfolio_run = build_portfolio(
+                job, seed=run.seed, cache=job.share_resynthesis_cache
+            ).start(circuit)
             try:
-                portfolio_run = build_portfolio(
-                    job, seed=run.seed, cache=job.share_resynthesis_cache
-                ).start(circuits[run.name])
-                try:
-                    published_cost: "float | None" = None
-                    while portfolio_run.step_round():
-                        if not exchange:
-                            continue
-                        # Publish the circuit only when our own best
-                        # improved since the last heartbeat; cost/bound
-                        # always travel so the coordinator can answer with
-                        # anything strictly better.
-                        improved = (
-                            published_cost is None
-                            or portfolio_run.incumbent_cost < published_cost
-                        )
-                        publish = (
-                            run.name,
-                            run.replica,
-                            portfolio_run.incumbent_cost,
-                            portfolio_run.incumbent_error,
-                            portfolio_run.incumbent_circuit if improved else None,
-                        )
-                        if improved:
-                            published_cost = portfolio_run.incumbent_cost
-                        update = self._post(
-                            channel,
-                            ("progress", (assignment_id, [publish], adopted_notes)),
-                        )
-                        adopted_notes = []
-                        revoked.update(tuple(k) for k in update.get("revoked", ()))
-                        incumbent = update.get("incumbents", {}).get(run.name)
-                        # Replica 0 anchors the case across the cluster the
-                        # way worker 0 anchors a portfolio: it never adopts,
-                        # so one unperturbed trajectory always survives and
-                        # the merged case is provably >= the solo run.
-                        if incumbent is not None and run.replica != 0:
-                            cost, error, circuit = incumbent
-                            if portfolio_run.adopt_incumbent(circuit, error=error):
-                                self.adopted += 1
-                                adopted_notes.append(
-                                    f"{self.name} adopted incumbent for "
-                                    f"{run.name}#r{run.replica} "
-                                    f"(cost {cost:g}, error bound {error:.3g})"
-                                )
-                    result = portfolio_run.result()
-                finally:
-                    portfolio_run.close()
-            except (_RunAborted, EOFError, OSError, ConnectionError):
-                raise
-            except Exception as error:  # noqa: BLE001 - reported for re-queue
-                update = self._post(
-                    channel,
-                    ("case-error", (assignment_id, key, _failure_message(error))),
-                )
-                revoked.update(tuple(k) for k in update.get("revoked", ()))
-                # Breathe before the next case: a deterministic failure
-                # would otherwise spin at full CPU until the cap trips.
-                time.sleep(self.poll_interval)
-                continue
-            update = self._post(
-                channel, ("case-result", (assignment_id, key, result))
-            )
-            completed += 1
-            revoked.update(tuple(k) for k in update.get("revoked", ()))
-        return completed
+                published_cost: "float | None" = None
+                while portfolio_run.step_round():
+                    if not job.cross_host_exchange:
+                        continue
+                    # Publish the circuit only when our own best improved
+                    # since the last heartbeat; cost/bound always travel so
+                    # the coordinator can answer with anything strictly
+                    # better.
+                    improved = (
+                        published_cost is None or portfolio_run.incumbent_cost < published_cost
+                    )
+                    publish = (
+                        run.name,
+                        run.replica,
+                        portfolio_run.incumbent_cost,
+                        portfolio_run.incumbent_error,
+                        portfolio_run.incumbent_circuit if improved else None,
+                    )
+                    if improved:
+                        published_cost = portfolio_run.incumbent_cost
+                    update = self._post(channel, ("progress", (publish, adopted_notes)))
+                    adopted_notes = []
+                    incumbent = update.get("incumbent")
+                    # Replica 0 anchors the case across the cluster the way
+                    # worker 0 anchors a portfolio: it never adopts, so one
+                    # unperturbed trajectory always survives and the merged
+                    # case is provably >= the solo run.
+                    if incumbent is not None and run.replica != 0:
+                        cost, error, best = incumbent
+                        if portfolio_run.adopt_incumbent(best, error=error):
+                            self.adopted += 1
+                            adopted_notes.append(
+                                f"{self.name} adopted incumbent for "
+                                f"{run.name}#r{run.replica} "
+                                f"(cost {cost:g}, error bound {error:.3g})"
+                            )
+                result = portfolio_run.result()
+            finally:
+                portfolio_run.close()
+        except (_RunAborted, EOFError, OSError, ConnectionError):
+            raise
+        except Exception as error:  # noqa: BLE001 - reported for re-queue
+            self._post(channel, ("case-error", (key, _failure_message(error))))
+            # Breathe before the next pull: a deterministic failure would
+            # otherwise spin at full CPU until the cap trips.
+            time.sleep(self.poll_interval)
+            return False
+        self._post(channel, ("case-result", (key, result)))
+        return True
 
     def run(self) -> int:
-        """Serve assignments until ``done``/``abort``; returns runs completed."""
+        """Serve runs until ``done``/``abort``; returns runs completed."""
         completed = 0
         channel = self._connect()
         try:
@@ -328,11 +283,9 @@ class HostAgent:
                     continue
                 if op != "assign":
                     raise RuntimeError(f"unexpected coordinator reply {op!r}")
-                assignment_id, runs, job = payload
+                run, job = payload
                 try:
-                    completed += self._execute_assignment(
-                        channel, assignment_id, runs, job
-                    )
+                    completed += self._execute(channel, run, job)
                 except _RunAborted as aborted:
                     self.abort_reason = str(aborted)
                     print(
@@ -341,8 +294,7 @@ class HostAgent:
                     )
                     break
                 except (EOFError, OSError):
-                    # The run finished without us (e.g. our runs were
-                    # revoked and the listener closed); nothing left to
+                    # The coordinator finished without us; nothing left to
                     # report to.
                     break
         finally:
@@ -359,26 +311,6 @@ def _failure_message(error: BaseException) -> str:
     an operator debugs a deterministic failure, and a bare repr loses the
     failing frame."""
     return f"{error!r}\n{traceback.format_exc().rstrip()}"
-
-
-def run_host_agent(
-    address: "tuple[str, int]",
-    authkey: "bytes | None" = None,
-    name: "str | None" = None,
-    connect_timeout: float = 30.0,
-    shard_delay: float = 0.0,
-    case_delay: float = 0.0,
-) -> int:
-    """Module-level agent entry point (spawn-safe ``Process`` target)."""
-    agent = HostAgent(
-        address,
-        authkey=authkey,
-        name=name,
-        connect_timeout=connect_timeout,
-        shard_delay=shard_delay,
-        case_delay=case_delay,
-    )
-    return agent.run()
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -410,7 +342,7 @@ def main(argv: "list[str] | None" = None) -> int:
         type=float,
         default=0.0,
         metavar="SECONDS",
-        help="sleep before each case (straggler simulation for smoke tests)",
+        help="sleep before each run (straggler simulation for smoke tests)",
     )
     args = parser.parse_args(argv)
     host, _, port = args.connect.rpartition(":")

@@ -455,7 +455,8 @@ class TcpCacheBackend:
     :class:`SharedCacheUnavailable` (callers degrade to a local cache); a
     server that dies *mid-run* degrades the backend — gets miss, puts are
     dropped — and the loss is visible in ``stats()`` as
-    ``unreachable_servers`` (0 or 1) and ``dropped_requests``.  This is the
+    ``unreachable_servers`` (1 until :meth:`revive` finds the server
+    answering again) and ``dropped_requests``.  This is the
     one place a lost store is absorbed: the front end never sees the
     failure.  The run keeps its own correctness either way: the cache is a
     memo, never a source of truth.
@@ -567,6 +568,20 @@ class TcpCacheBackend:
     def ping(self) -> bool:
         """True when the server answers (a dead one counts as no)."""
         return self._request_degraded("ping") == "pong"
+
+    def revive(self) -> None:
+        """Re-probe a server marked dead with one ``ping``; clear the mark if it answers.
+
+        Long-lived owners (the serve scheduler, once per opened job) call
+        this so a restarted server is used again.  A healthy backend sends
+        nothing.
+        """
+        if not self._dead:
+            return
+        try:
+            self._dead = self._request("ping") != "pong"
+        except (OSError, EOFError):
+            pass  # still down
 
     # -- lifecycle -----------------------------------------------------------
 

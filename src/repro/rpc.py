@@ -251,7 +251,7 @@ def drain_connection_pool() -> int:
     """Close every pooled connection this process holds; returns the count.
 
     A long-lived process that outlives many runs against different servers
-    (a host agent serving shard after shard) calls this between runs so dead
+    (a host agent serving run after run) calls this between runs so dead
     servers' sockets don't accumulate.  Each close waits for the request in
     flight on that socket; the next request simply redials.
     """

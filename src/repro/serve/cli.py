@@ -31,7 +31,7 @@ from repro.serve.server import JobServer
 
 _CACHE_SPEC_HELP = (
     "shared resynthesis cache backend spec, e.g. 'local:?store=PATH', 'server:', "
-    "or 'tcp://HOST:PORT' (see docs/serving.md for the grammar)"
+    "or 'tcp://HOST:PORT' (see docs/caching.md#the-backend-spec-grammar)"
 )
 
 

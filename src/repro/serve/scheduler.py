@@ -266,6 +266,9 @@ class JobScheduler:
                     f"unavailable ({error}); jobs run with private caches"
                 )
                 return None
+        elif self._cache_backend.kind == "tcp":
+            # A server that died under an earlier job may be back.
+            self._cache_backend.revive()
         from repro.perf.cache import ResynthesisCache
 
         return ResynthesisCache(shared=True, backend=self._cache_backend)

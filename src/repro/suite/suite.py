@@ -135,9 +135,9 @@ def select_cases(
 ) -> "list[BenchmarkCase]":
     """Pick the named cases out of an assembled suite, in ``names`` order.
 
-    The shard-partitioning layer (:mod:`repro.distrib`) works in case
-    *names* — they travel over the wire and index the plan — so subsetting
-    by name is the canonical way to materialize a shard's circuits.  Raises
+    The distributed layer (:mod:`repro.distrib`) works in case *names* —
+    they travel over the wire and index the plan — so subsetting by name is
+    the canonical way to materialize a run's circuit on a host.  Raises
     on unknown names so a stale plan fails loudly instead of silently
     shrinking the suite.
     """

@@ -1,12 +1,12 @@
 """Tests for the distributed evaluation subsystem (``repro.distrib``).
 
 The load-bearing property is the determinism contract: the merged result of
-a sharded run is a pure function of ``root seed + shard plan``, independent
-of how many hosts execute it, in which order shards complete, and whether a
-host dies mid-run.  These tests drive a real coordinator over localhost
-sockets with real agent subprocesses (1/2/4 hosts), permute completion
-order with staggered agents, kill an agent mid-shard, and compare bit-level
-fingerprints against the single-host baseline throughout.
+a distributed run is a pure function of ``root seed + run plan``,
+independent of how many hosts execute it, in which order runs complete, and
+whether a host dies mid-run.  These tests drive a real coordinator over
+localhost sockets with real agent subprocesses (1/2/4 hosts), permute
+completion order with staggered agents, kill an agent mid-run, and compare
+bit-level fingerprints against the single-host baseline throughout.
 """
 
 import multiprocessing
@@ -18,11 +18,11 @@ import pytest
 from repro.distrib import (
     Coordinator,
     DistributedJob,
-    make_shard_plan,
+    HostAgent,
+    make_run_plan,
     merge_case_results,
     merge_portfolio_results,
     result_fingerprint,
-    run_host_agent,
     run_local,
     start_tcp_cache_server,
 )
@@ -31,6 +31,7 @@ from repro.parallel import PortfolioSettings, build_portfolio, optimize_circuit_
 from repro.suite.suite import select_cases
 from repro.suite import ftqc_suite
 from repro.utils.linalg import hilbert_schmidt_distance
+from repro.utils.rng import derive_seed
 
 CASES = ["ghz_5", "bv_5"]
 
@@ -49,20 +50,18 @@ def fast_job(**overrides) -> DistributedJob:
     return DistributedJob(**settings)
 
 
-def run_distributed(job, plan, hosts, delays=None, case_delays=None, timeout=180.0):
+def run_distributed(job, plan, hosts, case_delays=None, timeout=180.0):
     """Drive a coordinator with ``hosts`` agent subprocesses; return the result."""
     coordinator = Coordinator(job, plan, timeout=timeout)
     address = coordinator.start()
     context = multiprocessing.get_context()
     agents = [
         context.Process(
-            target=run_host_agent,
-            args=(address,),
-            kwargs={
-                "name": f"host-{index}",
-                "shard_delay": (delays or {}).get(index, 0.0),
-                "case_delay": (case_delays or {}).get(index, 0.0),
-            },
+            target=HostAgent(
+                address,
+                name=f"host-{index}",
+                case_delay=(case_delays or {}).get(index, 0.0),
+            ).run
         )
         for index in range(hosts)
     ]
@@ -79,54 +78,50 @@ def run_distributed(job, plan, hosts, delays=None, case_delays=None, timeout=180
 
 
 class TestShardPlan:
+    """``make_run_plan``: the deterministic, replica-major run order."""
+
     def test_plan_is_deterministic(self):
-        first = make_shard_plan(CASES, num_shards=2, root_seed=7, replicas=2)
-        second = make_shard_plan(CASES, num_shards=2, root_seed=7, replicas=2)
+        first = make_run_plan(CASES, root_seed=7, replicas=2)
+        second = make_run_plan(CASES, root_seed=7, replicas=2)
         assert first == second
 
-    def test_run_seeds_do_not_depend_on_shard_count(self):
-        wide = make_shard_plan(CASES, num_shards=4, root_seed=7, replicas=2)
-        narrow = make_shard_plan(CASES, num_shards=1, root_seed=7, replicas=2)
-        flat = lambda plan: [run for shard in plan.shards for run in shard.runs]  # noqa: E731
-        assert flat(wide) == flat(narrow)
-
-    def test_contiguous_balanced_shards(self):
-        plan = make_shard_plan(["a", "b", "c"], num_shards=2, root_seed=1, replicas=3)
-        sizes = [len(shard) for shard in plan.shards]
-        assert sum(sizes) == 9 and max(sizes) - min(sizes) <= 1
+    def test_run_seeds_derive_from_replica_and_case_index(self):
+        plan = make_run_plan(CASES, root_seed=7, replicas=2)
+        assert [run.seed for run in plan.runs] == [
+            derive_seed(7, replica, index)
+            for replica in range(2)
+            for index in range(len(CASES))
+        ]
+        # A longer case list appends runs; it never re-seeds earlier cases.
+        wider = make_run_plan(CASES + ["tof_4"], root_seed=7, replicas=2)
+        assert set(plan.runs) < set(wider.runs)
 
     def test_replica_major_order_separates_replicas(self):
-        plan = make_shard_plan(CASES, num_shards=2, root_seed=7, replicas=2)
-        assert {run.replica for run in plan.shards[0].runs} == {0}
-        assert {run.replica for run in plan.shards[1].runs} == {1}
-
-    def test_shards_capped_at_run_count(self):
-        plan = make_shard_plan(["a"], num_shards=8, root_seed=1)
-        assert len(plan.shards) == 1
+        plan = make_run_plan(CASES, root_seed=7, replicas=2)
+        assert [run.replica for run in plan.runs] == [0, 0, 1, 1]
+        assert [run.name for run in plan.runs] == CASES + CASES
 
     def test_distinct_seeds_across_replicas_and_cases(self):
-        plan = make_shard_plan(CASES, num_shards=1, root_seed=7, replicas=3)
-        seeds = [run.seed for run in plan.shards[0].runs]
+        plan = make_run_plan(CASES, root_seed=7, replicas=3)
+        seeds = [run.seed for run in plan.runs]
         assert len(set(seeds)) == len(seeds)
 
     def test_none_root_seed_gives_none_run_seeds(self):
-        plan = make_shard_plan(CASES, num_shards=1)
-        assert all(run.seed is None for run in plan.shards[0].runs)
+        plan = make_run_plan(CASES)
+        assert all(run.seed is None for run in plan.runs)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            make_shard_plan([], num_shards=1)
+            make_run_plan([])
         with pytest.raises(ValueError):
-            make_shard_plan(["a", "a"], num_shards=1)
+            make_run_plan(["a", "a"])
         with pytest.raises(ValueError):
-            make_shard_plan(["a"], num_shards=0)
-        with pytest.raises(ValueError):
-            make_shard_plan(["a"], num_shards=1, replicas=0)
+            make_run_plan(["a"], replicas=0)
         with pytest.raises(ValueError):
             DistributedJob(suite="nope")
 
     def test_plan_and_job_are_picklable(self):
-        plan = make_shard_plan(CASES, num_shards=2, root_seed=7)
+        plan = make_run_plan(CASES, root_seed=7)
         job = fast_job()
         assert pickle.loads(pickle.dumps(plan)) == plan
         assert pickle.loads(pickle.dumps(job)) == job
@@ -135,12 +130,10 @@ class TestShardPlan:
 class TestMergeSemantics:
     def _replica_results(self, job=None, replicas=2):
         job = job or fast_job()
-        plan = make_shard_plan(["ghz_5"], num_shards=replicas, root_seed=11, replicas=replicas)
+        plan = make_run_plan(["ghz_5"], root_seed=11, replicas=replicas)
         circuits = build_cases(job, list(plan.case_names))
         by_run = {
-            (run.name, run.replica): run_case(job, run, circuits[run.name])
-            for shard in plan.shards
-            for run in shard.runs
+            (run.name, run.replica): run_case(job, run, circuits[run.name]) for run in plan.runs
         }
         return plan, by_run
 
@@ -202,7 +195,7 @@ class TestOneBuildPath:
         # Iteration-bounded Clifford+T with resynthesis on: the synthesis
         # path (and its private per-worker caches) is part of what must agree.
         job = fast_job(include_resynthesis=True, max_iterations=40, exchange_interval=20)
-        [run] = make_shard_plan(["tof_4"], num_shards=1, root_seed=5).shards[0].runs
+        [run] = make_run_plan(["tof_4"], root_seed=5).runs
         circuit = build_cases(job, [run.name])[run.name]
         hosted = run_case(job, run, circuit)
         direct = optimize_circuit_portfolio(
@@ -249,7 +242,7 @@ class TestDistributedDeterminism:
     @pytest.fixture(scope="class")
     def baseline(self):
         job = fast_job()
-        plan = make_shard_plan(CASES, num_shards=4, root_seed=7, replicas=2)
+        plan = make_run_plan(CASES, root_seed=7, replicas=2)
         return job, plan, run_local(job, plan)
 
     @pytest.mark.parametrize("hosts", [1, 2, 4])
@@ -267,9 +260,9 @@ class TestDistributedDeterminism:
 
     def test_permuted_completion_order_same_result(self, baseline):
         job, plan, local = baseline
-        # Stagger one host so shard completion order inverts vs the uniform
+        # Stagger one host so run completion order inverts vs the uniform
         # run; the merge must normalize it away.
-        result = run_distributed(job, plan, hosts=2, delays={0: 1.0})
+        result = run_distributed(job, plan, hosts=2, case_delays={0: 1.0})
         assert result.fingerprint() == local.fingerprint()
 
     def test_killed_host_mid_shard_requeues_and_completes(self, baseline):
@@ -277,62 +270,56 @@ class TestDistributedDeterminism:
         coordinator = Coordinator(job, plan, timeout=180.0)
         address = coordinator.start()
         context = multiprocessing.get_context()
-        victim = context.Process(
-            target=run_host_agent,
-            args=(address,),
-            kwargs={"name": "victim", "shard_delay": 8.0},
-        )
+        victim = context.Process(target=HostAgent(address, name="victim", case_delay=8.0).run)
         victim.start()
-        # The victim registers and takes a shard within ~a second, then sits
-        # in its 8s pre-execution delay — killing it now is mid-shard.
+        # The victim registers and takes a run within ~a second, then sits
+        # in its 8s pre-execution delay — killing it now is mid-run.
         time.sleep(2.0)
         victim.terminate()
-        survivor = context.Process(
-            target=run_host_agent, args=(address,), kwargs={"name": "survivor"}
-        )
+        survivor = context.Process(target=HostAgent(address, name="survivor").run)
         survivor.start()
         try:
             result = coordinator.join(timeout=200.0)
         finally:
             survivor.join(timeout=30.0)
             victim.join(timeout=10.0)
-        assert result.requeues, "the killed host's shard must be re-queued"
+        assert result.requeues, "the killed host's run must be re-queued"
         assert "victim" in result.requeues[0]
         assert result.fingerprint() == local.fingerprint()
 
 
 class TestCaseGranularFaultTolerance:
-    """A lost host forfeits only its unfinished runs — completed work survives."""
+    """A lost host forfeits only its unfinished run — completed work survives."""
 
     def test_lost_host_keeps_completed_cases(self):
         from multiprocessing.connection import Client
 
         job = fast_job()
-        # One batch holding all four runs, so the victim dies holding three.
-        plan = make_shard_plan(CASES, num_shards=1, root_seed=7, replicas=2)
+        plan = make_run_plan(CASES, root_seed=7, replicas=2)
         local = run_local(job, plan)
         coordinator = Coordinator(job, plan, timeout=120.0)
         address = coordinator.start()
         # Drive the wire protocol by hand: complete exactly one run as
-        # "victim", then drop the connection — deterministic, no timing.
+        # "victim", pull a second, then drop the connection — deterministic,
+        # no timing.
         connection = Client(address, authkey=distrib_authkey())
         connection.send(("hello", "victim"))
         connection.recv()
         connection.send(("next", None))
-        op, (assignment_id, runs, wire_job) = connection.recv()
-        assert op == "assign" and len(runs) == plan.num_runs
-        first = runs[0]
+        op, (first, wire_job) = connection.recv()
+        assert op == "assign" and first == plan.runs[0]
         circuits = build_cases(wire_job, [first.name])
         first_result = run_case(wire_job, first, circuits[first.name])
-        connection.send(
-            ("case-result", (assignment_id, (first.name, first.replica), first_result))
-        )
+        connection.send(("case-result", ((first.name, first.replica), first_result)))
         op, _update = connection.recv()
         assert op == "ok"
-        connection.close()  # the host "crashes" holding three unfinished runs
+        connection.send(("next", None))
+        op, (second, _job) = connection.recv()
+        assert op == "assign" and second == plan.runs[1]
+        connection.close()  # the host "crashes" holding one unfinished run
 
         survivor = multiprocessing.get_context().Process(
-            target=run_host_agent, args=(address,), kwargs={"name": "survivor"}
+            target=HostAgent(address, name="survivor").run
         )
         survivor.start()
         try:
@@ -343,52 +330,79 @@ class TestCaseGranularFaultTolerance:
                 survivor.terminate()
         # The completed run is credited to the dead host, never re-run ...
         assert result.case_hosts[(first.name, first.replica)] == "victim"
-        # ... and the re-queue covers exactly the three unfinished runs.
-        assert len(result.requeues) == 1
-        assert "victim" in result.requeues[0]
-        assert f"{first.name}#r{first.replica}" not in result.requeues[0]
-        for run in runs[1:]:
-            assert f"{run.name}#r{run.replica}" in result.requeues[0]
+        # ... and the re-queue covers exactly the run it held.
+        assert result.requeues == [
+            f"case {second.name}#r{second.replica} re-queued from victim: connection lost"
+        ]
+        for run in plan.runs[1:]:
             assert result.case_hosts[(run.name, run.replica)] == "survivor"
         assert result.fingerprint() == local.fingerprint()
 
 
-class TestElasticStealing:
-    """An idle host takes the tail of the largest outstanding batch."""
+class TestOneRunPerPull:
+    """``next`` hands a host exactly one run, so balancing follows from pulling."""
 
-    @pytest.fixture(scope="class")
-    def two_shard_setup(self):
+    def test_idle_session_drains_the_queue_while_another_holds_one_run(self):
+        from multiprocessing.connection import Client
+
         job = fast_job()
-        plan = make_shard_plan(CASES, num_shards=2, root_seed=7, replicas=2)
-        return job, plan, run_local(job, plan)
+        plan = make_run_plan(CASES, root_seed=7, replicas=2)
+        local = run_local(job, plan)
+        coordinator = Coordinator(job, plan, timeout=120.0)
+        address = coordinator.start()
+        circuits = build_cases(job, CASES)
 
-    def test_straggler_tail_is_stolen_and_nothing_is_lost(self, two_shard_setup):
-        job, plan, local = two_shard_setup
-        # host-1 sleeps 4s before each case: host-0 clears its own 2-run
-        # shard in well under that and goes idle, so the coordinator splits
-        # the straggler's batch instead of letting it set the wall-clock.
-        # host-0's 1s pre-assignment sleep keeps the scenario honest under
-        # slow process startup: host-1 always registers and takes its shard
-        # before host-0 could drain the queue by itself.
-        result = run_distributed(
-            job, plan, hosts=2, delays={0: 1.0}, case_delays={1: 4.0}
-        )
-        assert result.steals, "the idle host must steal the straggler's tail"
-        assert "host-0 stole" in result.steals[0]
-        # Zero lost and zero re-run cases: every planned run completed
-        # exactly once, with no re-queues.
-        assert result.requeues == []
-        assert len(result.case_hosts) == plan.num_runs
-        # Stolen runs are re-seeded from the plan, so the merged outcome is
-        # bit-identical to the single-host baseline.
-        assert result.fingerprint() == local.fingerprint()
-        # The stolen run really did execute on the thief.
-        stolen_keys = [
-            (run.name, run.replica)
-            for shard in plan.shards[1:]
-            for run in shard.runs
+        def report(connection, run):
+            result = run_case(job, run, circuits[run.name])
+            connection.send(("case-result", ((run.name, run.replica), result)))
+            assert connection.recv() == ("ok", {})
+
+        # Two sessions driven by hand: A takes a run and sits on it (a
+        # straggler), B pulls and completes runs one at a time.
+        a = Client(address, authkey=distrib_authkey())
+        b = Client(address, authkey=distrib_authkey())
+        for connection, name in ((a, "A"), (b, "B")):
+            connection.send(("hello", name))
+            assert connection.recv()[0] == "welcome"
+        a.send(("next", None))
+        op, (held, _job) = a.recv()
+        assert op == "assign" and held == plan.runs[0]
+        drained = []
+        while True:
+            b.send(("next", None))
+            op, payload = b.recv()
+            if op == "wait":
+                break  # the queue is empty; only A's run is outstanding
+            assert op == "assign"
+            run, _job = payload
+            drained.append(run)
+            # A asking again while it holds a run gets the same run back,
+            # never a second one.
+            a.send(("next", None))
+            op, (again, _job) = a.recv()
+            assert op == "assign" and again == held
+            report(b, run)
+        assert drained == list(plan.runs[1:])
+
+        a.close()  # A "crashes" holding its one run
+        # The loss is handled on the coordinator's connection thread: B's
+        # pulls wait until exactly A's run is back on the queue.
+        while op == "wait":
+            b.send(("next", None))
+            op, payload = b.recv()
+        assert op == "assign"
+        requeued, _job = payload
+        assert requeued == held
+        report(b, requeued)
+        b.close()
+        result = coordinator.join(timeout=60.0)
+
+        assert result.requeues == [
+            f"case {held.name}#r{held.replica} re-queued from A: connection lost"
         ]
-        assert any(result.case_hosts[key] == "host-0" for key in stolen_keys)
+        assert set(result.case_hosts.values()) == {"B"}
+        assert result.fingerprint() == local.fingerprint()
+
 
 class TestCrossHostExchange:
     """Exchange-on runs: adoption happens and stays sound."""
@@ -397,15 +411,13 @@ class TestCrossHostExchange:
         # tof_4/grover_3 descend over many rounds, so a replica that starts
         # after its sibling finished is still mid-descent when the sibling's
         # final incumbent reaches the board — a real adoption, not a no-op.
-        # One host pulls the shards in plan order (replica 0's runs, then
+        # One host pulls the runs in plan order (replica 0's runs, then
         # replica 1's), so the non-anchor replica is guaranteed to start
-        # last; with two hosts, which one pulled the anchor shard was a race.
+        # last; with two hosts, which one pulled the anchor run was a race.
         job = fast_job(
             max_iterations=60, exchange_interval=5, cross_host_exchange=True
         )
-        plan = make_shard_plan(
-            ["tof_4", "grover_3"], num_shards=2, root_seed=11, replicas=2
-        )
+        plan = make_run_plan(["tof_4", "grover_3"], root_seed=11, replicas=2)
         result = run_distributed(job, plan, hosts=1)
         assert result.adoptions, "the late replica must adopt the global best"
         assert any("adopted incumbent" in note for note in result.adoptions)
@@ -425,7 +437,7 @@ class TestCrossHostExchange:
 
     def test_exchange_off_sends_no_progress_and_stays_bit_identical(self):
         job = fast_job()
-        plan = make_shard_plan(CASES, num_shards=2, root_seed=7, replicas=2)
+        plan = make_run_plan(CASES, root_seed=7, replicas=2)
         local = run_local(job, plan)
         result = run_distributed(job, plan, hosts=2)
         assert result.adoptions == []
@@ -501,9 +513,7 @@ class TestCrossHostCache:
                 synthesis_time_budget=0.3,
                 share_resynthesis_cache=url,
             )
-            plan = make_shard_plan(
-                ["repeated_blocks"], num_shards=2, root_seed=17, replicas=2
-            )
+            plan = make_run_plan(["repeated_blocks"], root_seed=17, replicas=2)
             result = run_distributed(job, plan, hosts=2, timeout=240.0)
         finally:
             server.terminate()
@@ -520,27 +530,31 @@ class TestCrossHostCache:
 
 class TestDeterministicFailureGuards:
     def test_coordinator_rejects_unresolvable_case_names(self):
-        plan = make_shard_plan(["no_such_case"], num_shards=1, root_seed=1)
+        plan = make_run_plan(["no_such_case"], root_seed=1)
         with pytest.raises(ValueError, match="no host can resolve"):
             Coordinator(fast_job(), plan)
-        builtin_plan = make_shard_plan(["no_such_generator"], num_shards=1, root_seed=1)
+        builtin_plan = make_run_plan(["no_such_generator"], root_seed=1)
         with pytest.raises(ValueError, match="no host can resolve"):
             Coordinator(fast_job(suite="builtin"), builtin_plan)
+
+    @pytest.mark.parametrize("max_attempts", [0, -1])
+    def test_attempt_cap_below_one_is_rejected(self, max_attempts):
+        plan = make_run_plan(["ghz_5"], root_seed=1)
+        with pytest.raises(ValueError, match="max_attempts must be at least 1"):
+            Coordinator(fast_job(), plan, max_attempts=max_attempts)
 
     def test_repeatedly_failing_shard_aborts_instead_of_spinning(self):
         # A valid plan whose execution fails deterministically on every
         # host: the portfolio rejects the bogus backend at run time.
         job = fast_job(backend="not-a-backend")
-        plan = make_shard_plan(["ghz_5"], num_shards=1, root_seed=1)
-        coordinator = Coordinator(job, plan, timeout=60.0, max_shard_attempts=2)
+        plan = make_run_plan(["ghz_5"], root_seed=1)
+        coordinator = Coordinator(job, plan, timeout=60.0, max_attempts=2)
         address = coordinator.start()
         context = multiprocessing.get_context()
-        agent = context.Process(
-            target=run_host_agent, args=(address,), kwargs={"name": "doomed"}
-        )
+        agent = context.Process(target=HostAgent(address, name="doomed").run)
         agent.start()
         try:
-            # max_shard_attempts=2 promises two *re-queue retries*, so the
+            # max_attempts=2 promises two *re-queue retries*, so the
             # run must only abort after the third assignment fails — and the
             # fatal message must name what was still outstanding.
             with pytest.raises(
@@ -548,7 +562,7 @@ class TestDeterministicFailureGuards:
                 match=r"failed on 3 host assignments \(1 initial \+ 2 re-queue retries\)",
             ) as aborted:
                 coordinator.join(timeout=90.0)
-            assert "still outstanding: [ghz_5#r0] in plan shards [0]" in str(aborted.value)
+            assert "still outstanding: [ghz_5#r0]" in str(aborted.value)
         finally:
             agent.join(timeout=30.0)
             if agent.is_alive():  # pragma: no cover - hung agent cleanup
@@ -584,7 +598,7 @@ class TestNoDeprecatedCacheSpellings:
         )
         # A full local plan execution builds every run's portfolio (where
         # the cache argument is spelled out) and covers the distrib path.
-        plan = make_shard_plan(["ghz_5"], num_shards=1, root_seed=3)
+        plan = make_run_plan(["ghz_5"], root_seed=3)
         result = run_local(job, plan)
         assert len(result.cases) == 1
 

@@ -25,9 +25,8 @@ from repro.distrib import (
     CaseRun,
     Coordinator,
     DistributedJob,
-    make_shard_plan,
+    make_run_plan,
     result_fingerprint,
-    run_host_agent,
     start_tcp_cache_server,
 )
 from repro.distrib.worker import HostAgent, build_cases, distrib_authkey, run_case
@@ -246,12 +245,10 @@ class TestAgentFaultPaths:
             num_workers=1,
             backend="not-a-backend",
         )
-        plan = make_shard_plan(["ghz_5"], num_shards=1, root_seed=1)
-        coordinator = Coordinator(job, plan, timeout=60.0, max_shard_attempts=1)
+        plan = make_run_plan(["ghz_5"], root_seed=1)
+        coordinator = Coordinator(job, plan, timeout=60.0, max_attempts=1)
         address = coordinator.start()
-        agent = multiprocessing.get_context().Process(
-            target=run_host_agent, args=(address,), kwargs={"name": "doomed"}
-        )
+        agent = multiprocessing.get_context().Process(target=HostAgent(address, name="doomed").run)
         agent.start()
         try:
             with pytest.raises(RuntimeError) as aborted:
@@ -265,7 +262,7 @@ class TestAgentFaultPaths:
                 agent.terminate()
 
     def test_agent_exits_promptly_when_coordinator_vanishes_after_failure(self):
-        # A fake coordinator hands out one deterministically failing shard
+        # A fake coordinator hands out one deterministically failing run
         # and disappears.  The agent must notice the dead connection when its
         # error report fails to send and exit immediately — not first serve
         # the post-failure throttle sleep (30s here) to nobody.
@@ -279,7 +276,7 @@ class TestAgentFaultPaths:
             num_workers=1,
             backend="not-a-backend",
         )
-        shard = make_shard_plan(["ghz_5"], num_shards=1, root_seed=1).shards[0]
+        [run] = make_run_plan(["ghz_5"], root_seed=1).runs
         with Listener(("127.0.0.1", 0), authkey=distrib_authkey()) as listener:
             agent = HostAgent(listener.address, poll_interval=30.0, connect_timeout=10.0)
             thread = threading.Thread(target=agent.run, daemon=True)
@@ -287,10 +284,10 @@ class TestAgentFaultPaths:
             connection = listener.accept()
             op, _ = connection.recv()
             assert op == "hello"
-            connection.send(("welcome", {"shards": 1, "runs": 1}))
+            connection.send(("welcome", {"runs": 1, "exchange": False}))
             op, _ = connection.recv()
             assert op == "next"
-            connection.send(("assign", (0, shard.runs, job)))
+            connection.send(("assign", (run, job)))
             connection.close()
         vanished_at = time.monotonic()
         thread.join(timeout=20.0)
@@ -340,27 +337,17 @@ class TestExchangeAdoption:
             connection = listener.accept()
             op, _name = connection.recv()
             assert op == "hello"
-            connection.send(("welcome", {"shards": 1, "runs": 1}))
+            connection.send(("welcome", {"runs": 1, "exchange": True}))
             op, _ = connection.recv()
             assert op == "next"
-            connection.send(("assign", (0, (run,), job)))
+            connection.send(("assign", (run, job)))
             while True:
                 op, payload = connection.recv()
                 if op == "progress":
                     heartbeats += 1
-                    connection.send(
-                        (
-                            "ok",
-                            {
-                                "revoked": [],
-                                "incumbents": {
-                                    "ghz_5": (0.0, self.BAIT_ERROR, bait)
-                                },
-                            },
-                        )
-                    )
+                    connection.send(("ok", {"incumbent": (0.0, self.BAIT_ERROR, bait)}))
                 elif op == "case-result":
-                    _assignment_id, _key, result = payload
+                    _key, result = payload
                     connection.send(("ok", {}))
                 elif op == "next":
                     connection.send(("done", None))
@@ -413,11 +400,11 @@ class TestCoordinatorHygiene:
                 num_workers=1,
                 exchange_interval=5,
             )
-            plan = make_shard_plan(["ghz_5"], num_shards=1, root_seed=3)
+            plan = make_run_plan(["ghz_5"], root_seed=3)
             coordinator = Coordinator(job, plan, timeout=120.0)
             bound = coordinator.start()
             agent = multiprocessing.get_context().Process(
-                target=run_host_agent, args=(bound,), kwargs={"name": "host-0"}
+                target=HostAgent(bound, name="host-0").run
             )
             agent.start()
             try:

@@ -141,7 +141,7 @@ def test_serve_submit_flags_build_the_same_job_spec(case, monkeypatch):
 COORDINATOR_CASES = {
     # the distrib-smoke CI steps
     "ci-cache": (
-        "--port 8798 --suite builtin --cases repeated_blocks --replicas 2 --shards 2 "
+        "--port 8798 --suite builtin --cases repeated_blocks --replicas 2 "
         "--seed 17 --no-lower --max-iterations 60 --num-workers 1 --exchange-interval 30 "
         "--resynthesis-probability 0.4 --synthesis-time-budget 0.3 "
         "--cache tcp://127.0.0.1:8799 --timeout 600",
@@ -157,7 +157,7 @@ COORDINATOR_CASES = {
         ),
     ),
     "ci-steal": (
-        "--port 8797 --suite ftqc --scale tiny --cases ghz_5,bv_5 --replicas 2 --shards 2 "
+        "--port 8797 --suite ftqc --scale tiny --cases ghz_5,bv_5 --replicas 2 "
         "--seed 7 --max-iterations 30 --num-workers 2 --exchange-interval 15 "
         "--no-resynthesis --timeout 600",
         dict(max_iterations=30, num_workers=2, exchange_interval=15, include_resynthesis=False),

@@ -459,3 +459,51 @@ class TestSharedCacheAcrossTenants:
             server.stop()
             process.terminate()
             process.join(timeout=30.0)
+
+    def test_cache_server_restart_revives_sharing_for_the_next_job(self):
+        import signal
+
+        from repro.distrib import start_tcp_cache_server
+        from repro.perf import TcpCacheBackend
+
+        process, address = start_tcp_cache_server()
+        scheduler = JobScheduler(cache=f"tcp://{address[0]}:{address[1]}")
+        restarted = None
+        spec = fast_spec(
+            seed=1,
+            max_iterations=30,
+            include_resynthesis=True,
+            resynthesis_probability=0.4,
+            synthesis_time_budget=0.3,
+        )
+        try:
+            scheduler.submit(spec)
+            scheduler.run_until_idle()  # builds the scheduler's one backend
+            backend = scheduler._cache_backend
+            os.kill(process.pid, signal.SIGKILL)
+            process.join(timeout=30.0)
+            backend.get_many([b"probe"])  # one request: it drops
+            lost = backend.stats()
+            assert lost["unreachable_servers"] == 1
+            restarted, _ = start_tcp_cache_server(port=address[1])
+            job_id = scheduler.submit(spec)
+            scheduler.run_until_idle()
+            status, result = scheduler.result(job_id)
+            assert status.state == "done"
+            [stats] = result.perf.caches
+            assert stats.unreachable_servers == 0
+            assert stats.hits + stats.misses > 0
+            # Every get and put of the new job reached the restarted store:
+            # nothing more was dropped, and the cold store now holds its puts.
+            after = backend.stats()
+            assert after["unreachable_servers"] == 0
+            assert after["dropped_requests"] == lost["dropped_requests"]
+            probe = TcpCacheBackend(address)
+            assert probe.stats()["puts"] > 0
+            probe.close()
+        finally:
+            scheduler.close()
+            for proc in (process, restarted):
+                if proc is not None:
+                    proc.terminate()
+                    proc.join(timeout=30.0)
